@@ -214,27 +214,21 @@ func (t *TopologyFlag) Config() (noc.Config, error) {
 // (the server re-parses it through the same noc.Parse).
 func (t *TopologyFlag) String() string { return *t.s }
 
-// PDESFlag is the torus parallel-execution-scheme flag (-pdes). The mode
-// never changes simulation results — only how parallel torus epochs commit
-// their link reservations, i.e. wall-clock scaling.
-type PDESFlag struct {
-	s *string
+// checkPDES validates a torus parallel-execution scheme name. The name
+// selects nothing — optimistic speculation is the only concurrent torus
+// scheme and never changes a result — but Machine, SweepConfig and
+// sweepd.JobSpec carry it for API and wire compatibility. It accepts ""
+// and "optimistic" and rejects the removed conservative and adaptive
+// schemes by name.
+func checkPDES(pdes string) error {
+	switch pdes {
+	case "", "optimistic":
+		return nil
+	case "conservative", "adaptive":
+		return fmt.Errorf("pdes scheme %q was removed; optimistic is the only torus scheme", pdes)
+	}
+	return fmt.Errorf("unknown pdes scheme %q (want optimistic)", pdes)
 }
-
-// RegisterPDES installs the -pdes flag on fs.
-func RegisterPDES(fs *flag.FlagSet) *PDESFlag {
-	return &PDESFlag{s: fs.String("pdes", "optimistic",
-		"torus epoch commit scheme: optimistic, conservative or adaptive (bit-identical results; wall-clock only)")}
-}
-
-// Mode parses the flag into a PDES mode.
-func (p *PDESFlag) Mode() (noc.PDESMode, error) {
-	return noc.ParsePDES(*p.s)
-}
-
-// String returns the raw flag value, for forwarding to the sweep service
-// (the server re-parses it through the same noc.ParsePDES).
-func (p *PDESFlag) String() string { return *p.s }
 
 // SweepConfig resolves the raw values of one benchmark-sweep
 // configuration — everything but the PE counts — into a harness.Config.
@@ -248,8 +242,7 @@ func SweepConfig(profile string, domainSize int, topology, pdes string,
 	if err != nil {
 		return harness.Config{}, err
 	}
-	pm, err := noc.ParsePDES(pdes)
-	if err != nil {
+	if err := checkPDES(pdes); err != nil {
 		return harness.Config{}, err
 	}
 	if _, err := machine.ProfileParams(profile, 1); err != nil {
@@ -266,7 +259,6 @@ func SweepConfig(profile string, domainSize int, topology, pdes string,
 		Profile:    profile,
 		DomainSize: domainSize,
 		Topology:   topo,
-		PDES:       pm,
 		Fault:      plan,
 	}, nil
 }
@@ -279,14 +271,13 @@ func ProfileUsage() string {
 }
 
 // MachineFlags is the machine-configuration flag group (-pes,
-// -machine-profile, -domain-size, -topology, -pdes) for the tools that
+// -machine-profile, -domain-size, -topology) for the tools that
 // simulate one configuration at a time.
 type MachineFlags struct {
 	PEs        *int
 	Profile    *string
 	DomainSize *int
 	Topo       *TopologyFlag
-	PDES       *PDESFlag
 }
 
 // RegisterMachine installs the machine flags on fs.
@@ -297,7 +288,6 @@ func RegisterMachine(fs *flag.FlagSet, defaultPEs int) *MachineFlags {
 		DomainSize: fs.Int("domain-size", 0,
 			"override the profile's coherence-domain size (0 = profile default, 1 = per-PE domains)"),
 		Topo: RegisterTopology(fs),
-		PDES: RegisterPDES(fs),
 	}
 }
 
@@ -305,23 +295,22 @@ func RegisterMachine(fs *flag.FlagSet, defaultPEs int) *MachineFlags {
 // the named machine profile. An unknown profile name is an error that
 // lists the valid profiles.
 func (m *MachineFlags) Params() (machine.Params, error) {
-	return Machine(*m.Profile, *m.PEs, *m.DomainSize, *m.Topo.s, *m.PDES.s)
+	return Machine(*m.Profile, *m.PEs, *m.DomainSize, *m.Topo.s, "")
 }
 
 // Machine is the flag-free core of MachineFlags.Params: it resolves raw
 // machine-configuration values (profile name, PE count, domain-size
-// override, topology and pdes strings) into a validated Params. Every
-// failure — unknown profile, bad topology syntax, unknown pdes scheme —
-// comes back as an error naming the valid choices, never an exit, so the
-// sweep service can answer bad job specs with HTTP 400s while the CLIs
-// route the same errors through Fatal.
+// override, topology and pdes strings; see checkPDES) into a validated
+// Params. Every failure — unknown profile, bad topology syntax, unknown
+// or removed pdes scheme — comes back as an error naming the valid
+// choices, never an exit, so the sweep service can answer bad job specs
+// with HTTP 400s while the CLIs route the same errors through Fatal.
 func Machine(profile string, pes, domainSize int, topology, pdes string) (machine.Params, error) {
 	topo, err := noc.Parse(topology)
 	if err != nil {
 		return machine.Params{}, err
 	}
-	pm, err := noc.ParsePDES(pdes)
-	if err != nil {
+	if err := checkPDES(pdes); err != nil {
 		return machine.Params{}, err
 	}
 	mp, err := machine.ProfileParams(profile, pes)
@@ -332,6 +321,5 @@ func Machine(profile string, pes, domainSize int, topology, pdes string) (machin
 		mp.DomainSize = domainSize
 	}
 	mp.Topology = topo
-	mp.PDES = pm
 	return mp, nil
 }

@@ -9,13 +9,14 @@
 // every epoch boundary is a barrier, and write-through caches keep home
 // memory current so the boundary memory-update is implicit.
 //
-// Torus-modeled runs also execute their parallel epochs concurrently, in
-// one of three PDES modes selected by machine.Params.PDES — optimistic
-// speculation with rollback (spec.go, the default), windowed conservative
-// commits, or adaptive per-link lookahead (noc/pdes.go). All three commit
-// link reservations in an order provably equivalent to the canonical
-// sequential PE-major order, so cycle counts stay bit-identical at any
-// GOMAXPROCS and any goroutine interleaving.
+// Torus-modeled runs execute their parallel epochs concurrently by
+// optimistic speculation with rollback (spec.go): every PE runs its chunk
+// against a private predictor network, then a serial pass validates the
+// bookings in the canonical sequential PE-major order and re-executes the
+// mispredicted PEs, so cycle counts stay bit-identical at any GOMAXPROCS
+// and any goroutine interleaving. Runs speculation cannot rewind (fault
+// injection, tracing, stale-ref attribution) take that canonical order
+// directly.
 //
 // Coherence is CHECKED, not assumed: every cached word carries the memory
 // generation it was filled with, and a hit on an out-of-date word is
@@ -72,9 +73,9 @@ type Options struct {
 	// (used by the analysis-soundness property tests).
 	TrackStaleRefs bool
 	// SerialTorus forces torus-modeled parallel epochs onto the canonical
-	// sequential-PE booking order instead of the windowed conservative
-	// PDES scheme. Results are identical either way — the equivalence
-	// tests use this as their reference path.
+	// sequential-PE booking order instead of optimistic speculation.
+	// Results are identical either way — the equivalence tests use this as
+	// their reference path.
 	SerialTorus bool
 	// Trace, when non-nil, collects the full memory reference stream
 	// (build with trace.New(numPE)). Expensive; for analysis tooling.
@@ -171,12 +172,11 @@ type Engine struct {
 	graph *ir.EpochGraph
 	pes   []*peState
 	// net is the torus interconnect; nil under the flat topology (the
-	// constant-latency model). sess is its windowed-PDES front end.
-	net  *noc.Network
-	sess *noc.Session
-	// tr is the transport the PEs charge remote traffic through this
-	// epoch: nil (flat), net (canonical sequential booking: serial epochs,
-	// race detection, SerialTorus) or sess (concurrent parallel epochs).
+	// constant-latency model).
+	net *noc.Network
+	// tr is the transport the PEs charge remote traffic through outside
+	// speculative epochs: nil (flat) or net (the canonical sequential
+	// booking order).
 	tr noc.Transport
 	// hw is the hardware coherence layer (hw.go); nil outside the HWDIR
 	// modes. When non-nil, parallel epochs run their PEs sequentially:
@@ -199,18 +199,15 @@ type Engine struct {
 	domAware bool
 
 	// Reusable scratch.
-	errs   []error
-	starts []int64
+	errs []error
 
 	// Worker pool: one parked goroutine per PE, spawned on the first
-	// concurrent epoch and woken per epoch through wake (spec.go). poolJob
-	// stages the job kind for the next fan-out; curLoop stages the epoch's
-	// loop for runPE. An int job plus Engine-method workers keeps the
-	// per-epoch fan-out allocation-free (closures and method values both
-	// allocate).
+	// speculative epoch and woken per epoch through wake (spec.go).
+	// curLoop stages the epoch's loop for runPE. Engine-method workers
+	// keep the per-epoch fan-out allocation-free (closures and method
+	// values both allocate).
 	wake    []chan struct{}
 	poolWG  sync.WaitGroup
-	poolJob int
 	curLoop *cLoop
 
 	// Optimistic-PDES state (spec.go): per-PE predictor recorders,
@@ -235,7 +232,6 @@ type Engine struct {
 	opts       Options
 	stats      stats.Stats
 	inj        *fault.Injector
-	pdes       bool
 	optimistic bool
 	flatSpec   bool
 	staleErr   error
@@ -245,8 +241,8 @@ type Engine struct {
 
 // domainTopo is the machine's interconnect config with its coherence-domain
 // fields injected: the noc near tier is profile-derived, never parsed, so
-// every transport built for this machine (canonical network, PDES session,
-// optimistic predictor fleet) must come through here to see the same costs.
+// every transport built for this machine (canonical network, optimistic
+// predictor fleet) must come through here to see the same costs.
 func domainTopo(mp machine.Params) noc.Config {
 	topo := mp.Topology
 	if mp.DomainSize > 1 {
@@ -308,12 +304,8 @@ func New(c *core.Compiled) (*Engine, error) {
 		}
 	}
 	e := &Engine{c: c, cp: cp, graph: graph, net: net,
-		mem:    mem.New(prog, mp.NumPE, c.TotalWords),
-		errs:   make([]error, mp.NumPE),
-		starts: make([]int64, mp.NumPE),
-	}
-	if net != nil {
-		e.sess = noc.NewSession(net)
+		mem:  mem.New(prog, mp.NumPE, c.TotalWords),
+		errs: make([]error, mp.NumPE),
 	}
 
 	// Precompute the dynamic epoch schedule with context bindings resolved
@@ -438,18 +430,18 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 	if e.hw != nil {
 		e.hw.dir.Reset()
 	}
-	// The PDES path needs more than one scheduler thread to win anything;
-	// on a single thread the canonical sequential order is the same
-	// simulation without the cross-goroutine choreography. The HW modes
-	// never use it: their epochs are sequential (see hw field).
-	e.pdes = e.net != nil && mp.NumPE > 1 && !opts.DetectRaces && !opts.SerialTorus &&
-		e.hw == nil && runtime.GOMAXPROCS(0) > 1
-	// Optimistic speculation additionally excludes fault injection (fault
-	// streams are stateful draws a rollback cannot rewind), tracing (the
-	// stream would record speculative timings) and stale-ref attribution
-	// (per-ref counts would double-count re-executed reads). Those runs
-	// fall back to the conservative session, which handles them all.
-	e.optimistic = e.pdes && mp.PDES == noc.PDESOptimistic &&
+	// Optimistic speculation needs more than one scheduler thread to win
+	// anything; on a single thread the canonical sequential order is the
+	// same simulation without the cross-goroutine choreography. The HW
+	// modes never use it: their epochs are sequential (see hw field). It
+	// also excludes fault injection (fault streams are stateful draws a
+	// rollback cannot rewind), tracing (the stream would record
+	// speculative timings) and stale-ref attribution (per-ref counts would
+	// double-count re-executed reads). Those runs take the canonical
+	// sequential order, which is the reference speculation is proven
+	// against.
+	e.optimistic = e.net != nil && mp.NumPE > 1 && !opts.DetectRaces && !opts.SerialTorus &&
+		e.hw == nil && runtime.GOMAXPROCS(0) > 1 &&
 		e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
 	// Flat concurrent epochs have no link state to validate, but they share
 	// memory, so line fills and prefetch captures race with same-epoch
@@ -460,13 +452,6 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 	// fan-out.
 	e.flatSpec = e.net == nil && mp.NumPE > 1 && !opts.DetectRaces &&
 		e.hw == nil && e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
-	if e.sess != nil {
-		if mp.PDES == noc.PDESAdaptive {
-			e.sess.SetMode(noc.PDESAdaptive)
-		} else {
-			e.sess.SetMode(noc.PDESConservative)
-		}
-	}
 	for _, pe := range e.pes {
 		pe.reset()
 	}
@@ -534,7 +519,6 @@ func (pe *peState) reset() {
 	pe.staleByRef = nil
 	pe.demoted = 0
 	pe.crossInv = nil
-	pe.sess = nil
 	pe.tr = e.tr
 	pe.spec = false
 	pe.pendViol = pe.pendViol[:0]
@@ -703,23 +687,20 @@ func (e *Engine) epoch(inst *epochInst) error {
 }
 
 // parallelEpoch runs the DOALL on all PEs concurrently, safe because tasks
-// of one epoch touch disjoint data. Four cases:
+// of one epoch touch disjoint data. Three cases:
 //
-//   - DetectRaces or 1 PE or a HWDIR mode or Options.SerialTorus (with a
-//     torus) or a single-threaded scheduler: the PEs run sequentially on
-//     the calling goroutine. This is the canonical order torus link booking
-//     is defined against: PE p's whole epoch books before PE p+1's. The
-//     HWDIR modes are pinned here because directory invalidations mutate
-//     OTHER PEs' caches — the disjoint-data argument the concurrent cases
-//     rest on does not hold for them.
-//   - Torus, optimistic (the default): all PEs speculate concurrently on
-//     private predictor networks, then a serial pass validates and commits
-//     (or rolls back and re-executes) in PE-major order (spec.go).
-//   - Torus, conservative or adaptive: all PEs run concurrently; link
-//     reservations commit through the windowed PDES session, which
-//     reproduces the canonical order's placements exactly (see
-//     noc/pdes.go), so results stay bit-identical at any GOMAXPROCS and
-//     interleaving.
+//   - Torus with speculation on (e.optimistic): all PEs speculate
+//     concurrently on private predictor networks, then a serial pass
+//     validates and commits (or rolls back and re-executes) in PE-major
+//     order (spec.go).
+//   - DetectRaces or 1 PE or a HWDIR mode or any other torus run
+//     (Options.SerialTorus, a single-threaded scheduler, fault injection,
+//     tracing, stale-ref attribution): the PEs run sequentially on the
+//     calling goroutine. This is the canonical order torus link booking is
+//     defined against: PE p's whole epoch books before PE p+1's. The HWDIR
+//     modes are pinned here because directory invalidations mutate OTHER
+//     PEs' caches — the disjoint-data argument the concurrent cases rest
+//     on does not hold for them.
 //   - Flat: no link state exists and PE clocks are fully independent, so
 //     the PEs fan out over the shared worker budget (degrading to inline
 //     when the machine is busy), work-stealing by atomic index. Memory is
@@ -736,30 +717,12 @@ func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
 	}
 
 	switch {
-	case e.opts.DetectRaces || len(e.pes) == 1 || e.hw != nil || (e.net != nil && !e.pdes):
-		for p := range e.pes {
-			e.runPE(p)
-		}
-
-	case e.net != nil && e.optimistic:
+	case e.optimistic:
 		e.specEpoch()
 
-	case e.net != nil:
-		// Windowed PDES session: one pool worker per PE (they spend their
-		// commit waits blocked, so this does not draw from the shared
-		// worker budget), clocks seeded with the epoch-entry times.
-		for p, pe := range e.pes {
-			e.starts[p] = pe.now
-			pe.sess = e.sess
-			pe.tr = e.sess
-		}
-		e.sess.Begin(e.starts)
-		e.mem.SetSerial(false)
-		e.fanOut(jobSession)
-		e.mem.SetSerial(true)
-		for _, pe := range e.pes {
-			pe.sess = nil
-			pe.tr = e.net
+	case e.opts.DetectRaces || len(e.pes) == 1 || e.hw != nil || e.net != nil:
+		for p := range e.pes {
+			e.runPE(p)
 		}
 
 	default:

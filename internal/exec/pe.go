@@ -32,15 +32,10 @@ type peState struct {
 	pq    *pfq.Queue
 	stats stats.Stats
 
-	// sess is non-nil only while this PE runs inside a concurrent torus
-	// epoch: tick() publishes the PE's clock through it so lower-numbered
-	// PEs' progress unblocks higher-numbered PEs' link commits promptly.
-	sess *noc.Session
-
 	// tr is the transport this PE charges remote traffic through: the
-	// engine default (net, or nil under the flat topology), the
-	// conservative-PDES session, or — optimistic epochs — the PE's private
-	// speculation recorder / rollback re-execution memo (spec.go).
+	// engine default (net, or nil under the flat topology) or — optimistic
+	// epochs — the PE's private speculation recorder / rollback
+	// re-execution memo (spec.go).
 	tr noc.Transport
 
 	// spec marks that the PE is executing a speculative torus epoch (or
@@ -179,7 +174,6 @@ func (pe *peState) runDoall(l *cLoop) error {
 			if int((it-lo)/step)%mp.NumPE != pe.id {
 				continue
 			}
-			pe.tick()
 			pe.now += mp.DynamicSchedCost + mp.LoopIterCost
 			pe.env[l.varSlot] = it
 			pe.bound[l.varSlot] = true
@@ -196,7 +190,6 @@ func (pe *peState) runDoall(l *cLoop) error {
 			break
 		}
 		for it := chunk.Lo; it <= chunk.Hi; it++ {
-			pe.tick()
 			pe.now += mp.LoopIterCost
 			pe.env[l.varSlot] = it
 			pe.bound[l.varSlot] = true
@@ -213,15 +206,6 @@ func (pe *peState) runDoall(l *cLoop) error {
 func (pe *peState) clearRegs() {
 	pe.regA = pe.regA[:0]
 	pe.regV = pe.regV[:0]
-}
-
-// tick publishes the PE's clock to the torus PDES session (no-op outside
-// concurrent torus epochs). Frequency affects only how soon other PEs'
-// commits unblock, never any simulated result.
-func (pe *peState) tick() {
-	if s := pe.sess; s != nil {
-		s.Publish(pe.id, pe.now)
-	}
 }
 
 func (pe *peState) runStmts(body []cStmt) error {
@@ -294,7 +278,6 @@ func (pe *peState) runSerialLoop(l *cLoop) error {
 	}
 
 	for it := lo; it <= hi; it += step {
-		pe.tick()
 		pe.now += mp.LoopIterCost
 		pe.env[l.varSlot] = it
 		pe.bound[l.varSlot] = true

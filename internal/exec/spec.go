@@ -1,10 +1,8 @@
 // Optimistic torus epochs: speculate, validate against the canonical
 // PE-major booking order, roll back and re-execute mis-speculations.
 //
-// The conservative PDES session (noc/pdes.go) makes every link booking wait
-// until it is provably safe, so PEs spend much of a contended epoch blocked.
-// The optimistic mode removes the waiting from the hot path entirely: each
-// PE runs its whole epoch chunk against a PRIVATE predictor network (same
+// No PE ever waits on another during the concurrent phase: each PE runs
+// its whole epoch chunk against a PRIVATE predictor network (same
 // topology, seeded empty every epoch) and records the transport calls it
 // made with the results it assumed (noc.SpecRecorder). A serial validation
 // pass then replays every PE's recorded ops onto the real network in the
@@ -67,17 +65,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/pfq"
 	"repro/internal/stats"
-)
-
-// Worker-pool job kinds. Method values and closures allocate per call; an
-// int dispatched inside the worker does not, which keeps repeated Runs
-// allocation-flat.
-const (
-	// jobChunk runs the PE's share of the epoch (speculative phase).
-	jobChunk = iota + 1
-	// jobSession is jobChunk plus releasing the PE's conservative-PDES
-	// session slot, so commits blocked on a finished PE drain promptly.
-	jobSession
 )
 
 // memUndo is one word of the speculative write log: the raw bits and
@@ -182,8 +169,8 @@ func (m *memoTransport) DropWaitCycles() int64 { return m.net.DropWaitCycles() }
 
 // runPE executes PE p's share of the current parallel epoch (the loop is
 // staged in e.curLoop by parallelEpoch). Shared by every execution branch:
-// sequential, conservative PDES, optimistic speculation and re-execution,
-// and the flat work-stealing fan-out.
+// sequential, optimistic speculation and re-execution, and the flat
+// work-stealing fan-out.
 func (e *Engine) runPE(p int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -209,30 +196,19 @@ func (e *Engine) runPE(p int) {
 }
 
 // worker is one parked pool goroutine; it owns PE p across the Engine's
-// whole lifetime and runs the staged job kind each time it is woken.
+// whole lifetime and runs the PE's chunk of the staged loop each time it
+// is woken.
 func (e *Engine) worker(p int) {
 	for range e.wake[p] {
-		if e.poolJob == jobSession {
-			e.runPESession(p)
-		} else {
-			e.runPE(p)
-		}
+		e.runPE(p)
 		e.poolWG.Done()
 	}
 }
 
-func (e *Engine) runPESession(p int) {
-	// Done must fire even if runPE's recover machinery ever changes: other
-	// PEs' commits may be blocked on this one's session slot.
-	defer e.sess.Done(p)
-	e.runPE(p)
-}
-
-// fanOut wakes one pool worker per PE for the staged job and waits for all
-// of them. Workers are spawned once per Engine, on the first concurrent
-// epoch, and park on their wake channels between epochs — repeated Runs
-// spawn nothing.
-func (e *Engine) fanOut(job int) {
+// fanOut wakes one pool worker per PE and waits for all of them. Workers
+// are spawned once per Engine, on the first speculative epoch, and park on
+// their wake channels between epochs — repeated Runs spawn nothing.
+func (e *Engine) fanOut() {
 	if e.wake == nil {
 		e.wake = make([]chan struct{}, len(e.pes))
 		for p := range e.wake {
@@ -240,7 +216,6 @@ func (e *Engine) fanOut(job int) {
 			go e.worker(p)
 		}
 	}
-	e.poolJob = job
 	e.poolWG.Add(len(e.pes))
 	for _, ch := range e.wake {
 		ch <- struct{}{}
@@ -303,7 +278,7 @@ func (e *Engine) specEpoch() {
 		pe.tr = e.recs[p]
 	}
 	e.mem.SetSerial(false)
-	e.fanOut(jobChunk)
+	e.fanOut()
 	e.mem.SetSerial(true)
 
 	for _, err := range e.errs {

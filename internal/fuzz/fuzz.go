@@ -358,9 +358,9 @@ func checkOne(p *ir.Program, golden goldenFn, rc RunConfig, mut Mutation) (f *Fi
 		}
 	}
 
-	// Canonical-timing referee: every concurrent torus PDES scheme promises
-	// cycle counts bit-identical to the canonical sequential PE-major
-	// booking order — the array referees above cannot see a scheme that
+	// Canonical-timing referee: optimistic torus speculation promises cycle
+	// counts bit-identical to the canonical sequential PE-major booking
+	// order — the array referees above cannot see a speculation that
 	// places link reservations wrongly but computes the right values (the
 	// exact failure MutNoRollback plants), so torus configs are rerun in
 	// the canonical order and compared cycle for cycle. Skipped where the
@@ -373,14 +373,14 @@ func checkOne(p *ir.Program, golden goldenFn, rc RunConfig, mut Mutation) (f *Fi
 		}
 		if r.Cycles != sr.Cycles {
 			return &Finding{Config: rc, Mutation: mut, Referee: RefereeDivergence,
-				Detail: fmt.Sprintf("cycles diverge from canonical serial order: pdes=%s got %d, canonical %d",
-					c.Machine.PDES, r.Cycles, sr.Cycles)}
+				Detail: fmt.Sprintf("cycles diverge from canonical serial order: got %d, canonical %d",
+					r.Cycles, sr.Cycles)}
 		}
 		for pe, got := range r.PECycles {
 			if got != sr.PECycles[pe] {
 				return &Finding{Config: rc, Mutation: mut, Referee: RefereeDivergence,
-					Detail: fmt.Sprintf("PE %d cycles diverge from canonical serial order: pdes=%s got %d, canonical %d",
-						pe, c.Machine.PDES, got, sr.PECycles[pe])}
+					Detail: fmt.Sprintf("PE %d cycles diverge from canonical serial order: got %d, canonical %d",
+						pe, got, sr.PECycles[pe])}
 			}
 		}
 	}

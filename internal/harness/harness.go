@@ -86,10 +86,6 @@ type Config struct {
 	// sequential baseline always runs flat). The zero value keeps the flat
 	// constant-latency model, bit-identical to a pre-noc sweep.
 	Topology noc.Config
-	// PDES selects how parallel torus epochs commit link reservations
-	// (optimistic speculation by default). Results are bit-identical across
-	// modes; only wall-clock scaling differs.
-	PDES noc.PDESMode
 	// Compile overrides how configurations are lowered (nil = core.Compile
 	// on every run). The sweep service injects its shared compiled-program
 	// cache here, so concurrent jobs that agree on (workload, mode,
@@ -116,7 +112,6 @@ func RunApp(s *workloads.Spec, cfg Config) (*AppResult, error) {
 			mp.DomainSize = cfg.DomainSize
 		}
 		mp.Topology = cfg.Topology
-		mp.PDES = cfg.PDES
 		if cfg.Tune != nil {
 			cfg.Tune(&mp)
 		}

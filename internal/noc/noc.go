@@ -14,14 +14,14 @@
 // distances are recorded for the observability reports.
 //
 // Determinism: the Network itself is NOT safe for concurrent use. Callers
-// either book from a single goroutine in canonical PE order (serial epochs,
-// race-detection runs, the sequential reference path) or go through a
-// Session (pdes.go), the windowed conservative-PDES front end that lets all
-// PEs of a parallel epoch run concurrently while committing reservations in
-// an order provably equivalent to the canonical sequential one — cycle
-// counts are bit-identical either way. The zero-value Config (KindFlat)
-// means "no modeled network": callers keep the machine model's constant
-// remote latencies and never construct a Network at all.
+// book from a single goroutine in canonical PE order: serial epochs,
+// race-detection runs, the sequential reference path, and the validation
+// phase of optimistic epochs (pdes_opt.go), whose PEs speculate
+// concurrently on private predictor networks and then replay their traffic
+// onto the real one in that order — cycle counts are bit-identical either
+// way. The zero-value Config (KindFlat) means "no modeled network":
+// callers keep the machine model's constant remote latencies and never
+// construct a Network at all.
 package noc
 
 import (
@@ -225,9 +225,6 @@ type Network struct {
 	// sync.Pool refills after a GC showed up as ±1 allocs/op drift in the
 	// benchmarks).
 	names []string
-	// dist caches pairwise route lengths (dist[src*numPE+dst]) for the
-	// adaptive PDES commit rule; built on first Dist call.
-	dist []int32
 	// topoStr caches the rendered topology label (summary.go).
 	topoStr string
 
@@ -351,21 +348,6 @@ func (n *Network) LinkName(id int32) string {
 	return n.names[id]
 }
 
-// Dist returns the dimension-order route length between two PEs from a
-// lazily built table (the adaptive PDES commit rule queries it per hop per
-// commit, too hot for the coordinate arithmetic of Hops).
-func (n *Network) Dist(src, dst int) int {
-	if n.dist == nil {
-		n.dist = make([]int32, n.numPE*n.numPE)
-		for s := 0; s < n.numPE; s++ {
-			for d := 0; d < n.numPE; d++ {
-				n.dist[s*n.numPE+d] = int32(n.Hops(s, d))
-			}
-		}
-	}
-	return int(n.dist[src*n.numPE+dst])
-}
-
 // Route appends the dimension-order route from src to dst (as link ids) to
 // n.scratch and returns it. The result is valid until the next Route/Send
 // call. Routes are deterministic: X is fully resolved, then Y, then Z; the
@@ -398,9 +380,9 @@ func (n *Network) Route(src, dst int) []int32 {
 
 // Transport is the engine-facing interface of the interconnect: the calls
 // a PE needs to charge its remote traffic. Implemented by *Network (the
-// canonical single-goroutine booking order) and by *Session (the windowed
-// conservative-PDES front end, callable from concurrent PE goroutines) —
-// both produce identical results by construction (pdes.go).
+// canonical single-goroutine booking order) and by *SpecRecorder (one PE's
+// private predictor during a speculative epoch, whose results validation
+// then checks against the Network's; pdes_opt.go).
 type Transport interface {
 	// Send transmits one fire-and-forget message (see Network.Send).
 	Send(src, dst int, payload, depart, hotExtra int64) (arrive, wait int64)
@@ -462,72 +444,6 @@ func (n *Network) Send(src, dst int, payload, depart, hotExtra int64) (arrive, w
 		n.maxWait = wait
 	}
 	return arrive, wait
-}
-
-// planSend computes the result Send would return right now — the arrival
-// cycle and total queueing wait — against the current link schedules,
-// without reserving anything. A dimension-order route never crosses the
-// same link twice, so the hop-by-hop plan is exactly the placement Send
-// would commit: planSend followed by an un-interleaved Send returns
-// identical values. Because first-fit placements never start before their
-// requested time and the head moves one HopCost per hop, every interval
-// the message would occupy ends at or before the returned arrival — the
-// bound the PDES commit rule (pdes.go) is built on.
-func (n *Network) planSend(src, dst int, payload, depart, hotExtra int64) (arrive, wait int64) {
-	if src == dst {
-		return depart, 0
-	}
-	route := n.Route(src, dst)
-	occBase := n.cfg.HopCost + payload*n.cfg.WordCost
-	t := depart
-	for k, id := range route {
-		occ := occBase
-		if k == 0 {
-			occ += hotExtra
-		}
-		start, _ := n.links[id].probe(t, occ)
-		wait += start - t
-		t = start + n.cfg.HopCost
-		if k == 0 {
-			t += hotExtra
-		}
-	}
-	return t + payload*n.cfg.WordCost, wait
-}
-
-// linkEnd is one hop of a planned placement: the node whose outgoing link
-// carries the message, and the cycle the message's occupancy of that link
-// ends. The adaptive PDES commit rule (pdes.go) is phrased in these.
-type linkEnd struct {
-	node int32
-	end  int64
-}
-
-// planSendEnds computes, without reserving anything, the per-hop
-// (node, occupancy-end) pairs of the placement Send would commit right now,
-// appending them to out. Like planSend it is exact as long as no other
-// booking interleaves, which the Session's lock guarantees.
-func (n *Network) planSendEnds(src, dst int, payload, depart, hotExtra int64, out []linkEnd) (ends []linkEnd, arrive int64) {
-	out = out[:0]
-	if src == dst {
-		return out, depart
-	}
-	route := n.Route(src, dst)
-	occBase := n.cfg.HopCost + payload*n.cfg.WordCost
-	t := depart
-	for k, id := range route {
-		occ := occBase
-		if k == 0 {
-			occ += hotExtra
-		}
-		start, _ := n.links[id].probe(t, occ)
-		out = append(out, linkEnd{node: id / (numDims * 2), end: start + occ})
-		t = start + n.cfg.HopCost
-		if k == 0 {
-			t += hotExtra
-		}
-	}
-	return out, t + payload*n.cfg.WordCost
 }
 
 // RoundTrip models a remote read-style transfer: a one-word request from

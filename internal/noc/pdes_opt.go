@@ -1,10 +1,8 @@
-// Optimistic (speculative) execution support for the torus PDES layer.
-//
-// The conservative Session (pdes.go) serializes commits behind a lookahead
-// window, which caps parallelism: a PE may not place a reservation until
-// every lower-numbered PE's clock has passed the reservation's horizon. The
-// optimistic scheme removes that wait entirely by splitting an epoch into
-// two phases:
+// Optimistic (speculative) execution support for the torus: the one
+// scheme that lets the PEs of a parallel epoch book link traffic
+// concurrently while the results stay those of the canonical PE-major
+// booking order. It needs no cross-PE synchronization at all, because it
+// splits an epoch into two phases:
 //
 //  1. Speculation: every PE runs its whole epoch concurrently with ZERO
 //     cross-PE synchronization. Each PE books its traffic on a private
@@ -40,59 +38,11 @@
 // observables mispredicts.
 package noc
 
-// PDESMode selects how parallel torus epochs commit link reservations. All
-// modes produce bit-identical simulation results (cycles, stats, link
-// summaries); they differ only in synchronization cost and wall-clock
-// scaling. The zero value is the optimistic mode — the default the engine
-// and the benchmarks measure.
-type PDESMode int
-
-const (
-	// PDESOptimistic speculates each PE's epoch against a private predictor
-	// network, then validates against the canonical PE-major placement and
-	// rolls mispredicted PEs back (this file; engine side in internal/exec).
-	PDESOptimistic PDESMode = iota
-	// PDESConservative is the windowed conservative scheme of pdes.go: a
-	// commit waits until every lower PE's clock passes the reservation's
-	// quantized horizon.
-	PDESConservative
-	// PDESAdaptive relaxes the conservative horizon per link: a commit on a
-	// link leaving node v only waits for lower PE q to reach
-	// end - dist(q,v)·HopCost, because q's future traffic needs that many
-	// hops to reach v at all (pdes.go, safeAdaptiveLocked).
-	PDESAdaptive
-)
-
-func (m PDESMode) String() string {
-	switch m {
-	case PDESOptimistic:
-		return "optimistic"
-	case PDESConservative:
-		return "conservative"
-	case PDESAdaptive:
-		return "adaptive"
-	}
-	return "PDESMode(?)"
-}
-
-// ParsePDES reads a -pdes flag value.
-func ParsePDES(s string) (PDESMode, error) {
-	switch s {
-	case "", "optimistic":
-		return PDESOptimistic, nil
-	case "conservative":
-		return PDESConservative, nil
-	case "adaptive":
-		return PDESAdaptive, nil
-	}
-	return 0, errBadPDES(s)
-}
-
-type errBadPDES string
-
-func (e errBadPDES) Error() string {
-	return "noc: unknown pdes mode \"" + string(e) + "\" (want optimistic, conservative or adaptive)"
-}
+// TestCommitYield, when non-nil, is called at every SpecRecorder entry
+// point to let tests perturb goroutine scheduling (e.g. with
+// runtime.Gosched) and prove the committed schedules are
+// interleaving-independent. Set only while no engine runs.
+var TestCommitYield func()
 
 // TestSpecSkew, when non-nil, perturbs every speculative RoundTrip
 // prediction by its return value (added to the predicted arrival). The

@@ -18,25 +18,6 @@ func newTorus(t *testing.T, numPE int) *Network {
 	return n
 }
 
-// The non-mutating planSend must predict exactly what Send then commits,
-// at every point of a contended random traffic sequence.
-func TestPlanSendMatchesSend(t *testing.T) {
-	n := newTorus(t, 16)
-	rng := rand.New(rand.NewSource(7))
-	now := int64(0)
-	for i := 0; i < 500; i++ {
-		src, dst := rng.Intn(16), rng.Intn(16)
-		payload := int64(1 + rng.Intn(32))
-		hot := int64(rng.Intn(3) * 40)
-		now += int64(rng.Intn(20))
-		pa, pw := n.planSend(src, dst, payload, now, hot)
-		a, w := n.Send(src, dst, payload, now, hot)
-		if pa != a || pw != w {
-			t.Fatalf("txn %d: plan (%d,%d) != send (%d,%d)", i, pa, pw, a, w)
-		}
-	}
-}
-
 // Reset must return the network to its just-built state: replaying the
 // same traffic must reproduce identical results and summary.
 func TestNetworkReset(t *testing.T) {
@@ -64,19 +45,7 @@ func TestNetworkReset(t *testing.T) {
 	}
 }
 
-func TestHorizonStrictlyAboveEnd(t *testing.T) {
-	s := NewSession(newTorus(t, 8))
-	if s.Window() != DefaultHopCost+DefaultWordCost {
-		t.Fatalf("window = %d, want %d", s.Window(), DefaultHopCost+DefaultWordCost)
-	}
-	for _, end := range []int64{0, 1, s.window - 1, s.window, s.window + 1, 12345} {
-		if h := s.horizon(end); h <= end || h%s.window != 0 {
-			t.Errorf("horizon(%d) = %d: want window multiple strictly above", end, h)
-		}
-	}
-}
-
-// peScript is one virtual PE's transaction schedule for the equivalence
+// txn is one transaction of a virtual PE's schedule for the equivalence
 // property test.
 type txn struct {
 	kind    int // 0 = Send, 1 = RoundTrip
@@ -84,107 +53,6 @@ type txn struct {
 	payload int64
 	think   int64 // clock advance before issuing
 	hot     int64
-}
-
-// TestSessionMatchesSequential is the windowed-PDES equivalence property
-// test: random per-PE transaction scripts run (a) PE-major sequentially
-// against a plain Network and (b) concurrently through a Session with
-// randomized goroutine yields injected at every commit point. Every
-// per-transaction result and the full link summary (schedules, drops live
-// in the engine; here: counters, waits, hop histogram) must match exactly.
-// Run under -race this also proves the Session's synchronization sound.
-func TestSessionMatchesSequential(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const numPE = 8
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		scripts := make([][]txn, numPE)
-		for p := range scripts {
-			nTxn := 30 + rng.Intn(40)
-			for i := 0; i < nTxn; i++ {
-				scripts[p] = append(scripts[p], txn{
-					kind:    rng.Intn(2),
-					dst:     rng.Intn(numPE),
-					payload: int64(1 + rng.Intn(24)),
-					think:   int64(rng.Intn(60)),
-					hot:     int64(rng.Intn(2) * 30),
-				})
-			}
-		}
-
-		// runPE executes one PE's script against any transport, returning
-		// the per-transaction results.
-		runPE := func(tr Transport, p int, tick func(now int64)) [][2]int64 {
-			out := make([][2]int64, 0, len(scripts[p]))
-			now := int64(0)
-			for _, x := range scripts[p] {
-				now += x.think
-				if tick != nil {
-					tick(now)
-				}
-				var a, w int64
-				if x.kind == 0 {
-					a, w = tr.Send(p, x.dst, x.payload, now, x.hot)
-					if p != x.dst {
-						now += 1 // buffered send: clock moves a little
-					}
-				} else {
-					a, w = tr.RoundTrip(p, x.dst, x.payload, now, x.hot)
-					now = a
-				}
-				out = append(out, [2]int64{a, w})
-			}
-			return out
-		}
-
-		// Reference: canonical PE-major order on a plain Network.
-		ref := newTorus(t, numPE)
-		want := make([][][2]int64, numPE)
-		for p := 0; p < numPE; p++ {
-			want[p] = runPE(ref, p, nil)
-		}
-		wantSum := ref.Summary(1 << 20)
-
-		// Concurrent: one goroutine per PE through a Session — once per
-		// commit rule — with yields injected at every Publish to shake the
-		// interleaving.
-		for _, mode := range []PDESMode{PDESConservative, PDESAdaptive} {
-			net := newTorus(t, numPE)
-			sess := NewSession(net)
-			sess.SetMode(mode)
-			var yields atomic.Int64
-			TestCommitYield = func() {
-				if yields.Add(1)%3 == 0 {
-					runtime.Gosched()
-				}
-			}
-			sess.Begin(nil)
-			got := make([][][2]int64, numPE)
-			var wg sync.WaitGroup
-			for p := 0; p < numPE; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					defer sess.Done(p)
-					got[p] = runPE(sess, p, func(now int64) { sess.Publish(p, now) })
-				}(p)
-			}
-			wg.Wait()
-			TestCommitYield = nil
-			gotSum := net.Summary(1 << 20)
-
-			for p := 0; p < numPE; p++ {
-				if !reflect.DeepEqual(want[p], got[p]) {
-					t.Fatalf("seed %d mode %v: PE %d transaction results diverge", seed, mode, p)
-				}
-			}
-			if !reflect.DeepEqual(wantSum, gotSum) {
-				t.Fatalf("seed %d mode %v: summaries diverge:\nseq: %+v\npdes: %+v", seed, mode, wantSum, gotSum)
-			}
-		}
-	}
 }
 
 // memoTr is the test double of the engine's re-execution transport: it
@@ -331,51 +199,5 @@ func TestSpecConvergesToSequential(t *testing.T) {
 		if !reflect.DeepEqual(wantSum, gotSum) {
 			t.Fatalf("seed %d: summaries diverge:\nseq: %+v\nspec: %+v", seed, wantSum, gotSum)
 		}
-	}
-}
-
-// A Session must be reusable across epochs via Begin, with results
-// identical to a fresh sequential run of the same epochs.
-func TestSessionBeginReuse(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const numPE = 4
-	ref := newTorus(t, numPE)
-	net := newTorus(t, numPE)
-	sess := NewSession(net)
-	starts := make([]int64, numPE)
-	for epoch := 0; epoch < 3; epoch++ {
-		for p := range starts {
-			starts[p] = int64(epoch * 1000)
-		}
-		// Sequential reference for this epoch.
-		want := make([][2]int64, numPE)
-		for p := 0; p < numPE; p++ {
-			a, w := ref.RoundTrip(p, (p+1)%numPE, 8, starts[p]+int64(p*13), 0)
-			want[p] = [2]int64{a, w}
-		}
-		ref.EndEpoch()
-
-		sess.Begin(starts)
-		got := make([][2]int64, numPE)
-		var wg sync.WaitGroup
-		for p := 0; p < numPE; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				defer sess.Done(p)
-				a, w := sess.RoundTrip(p, (p+1)%numPE, 8, starts[p]+int64(p*13), 0)
-				got[p] = [2]int64{a, w}
-			}(p)
-		}
-		wg.Wait()
-		net.EndEpoch()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("epoch %d: %v != %v", epoch, got, want)
-		}
-	}
-	if !reflect.DeepEqual(ref.Summary(5000), net.Summary(5000)) {
-		t.Fatal("cumulative summaries diverge across epochs")
 	}
 }

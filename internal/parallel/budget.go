@@ -19,10 +19,9 @@ import (
 // Tokens are returned incrementally: a ForEach worker gives its token back
 // the moment it runs out of items, not when the whole ForEach finishes, so
 // a nested or concurrent fan-out can pick the token up while the slowest
-// items of the outer call are still running. The torus PDES path does not
-// draw tokens — its per-PE goroutines spend most of their time blocked on
-// commit ordering and the Go scheduler multiplexes them onto whatever
-// threads are free.
+// items of the outer call are still running. The engine's speculative
+// torus epochs do not draw tokens — they wake one parked goroutine per PE
+// and the Go scheduler multiplexes them onto whatever threads are free.
 var (
 	budgetMu   sync.Mutex
 	budgetCond = sync.NewCond(&budgetMu)

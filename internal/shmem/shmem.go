@@ -133,9 +133,10 @@ func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int
 }
 
 // GetOverNet is GetWithFaults routed over an interconnect model: tr is
-// either a *noc.Network (single-goroutine canonical booking) or a
-// *noc.Session (the engine's windowed-PDES front end for concurrent PE
-// goroutines) — the two produce identical arrival times. With a nil
+// a *noc.Network (single-goroutine canonical booking) or one of the
+// engine's speculative transports (a PE's private *noc.SpecRecorder, or
+// the re-execution memo), whose results validation holds to the
+// Network's. With a nil
 // transport it reproduces the flat model bit-identically: the blocking
 // cost is ShmemStartupCost + len(addrs)·ShmemPerWordCost regardless of
 // where the data lives. Over a torus, the surviving lines are grouped by

@@ -48,8 +48,8 @@ type Options struct {
 	// Workers is the job worker count (≤ 0 = GOMAXPROCS). Worker 0 runs
 	// unbudgeted — the progress guarantee — and every additional worker
 	// blocks for a token from the process-wide internal/parallel budget
-	// before each job, so a busy server and its own torus PDES engines
-	// share one CPU budget instead of oversubscribing.
+	// before each job, so a busy server and the flat parallel epochs of
+	// its own engines share one CPU budget instead of oversubscribing.
 	Workers int
 	// Peers are base URLs of further sweepd worker processes; large
 	// requests shard across [self, peers...] round-robin.

@@ -55,10 +55,10 @@ type JobSpec struct {
 	DomainSize int `json:"domain_size,omitempty"`
 	// Topology is the interconnect: "flat", "torus", or "XxYxZ" ("" = flat).
 	Topology string `json:"topology,omitempty"`
-	// PDES is the torus commit scheme: optimistic, conservative or adaptive
-	// ("" = optimistic). Never changes results, only server wall-clock; it
-	// still participates in the memo key so a job's spec is honored
-	// literally.
+	// PDES names the torus parallel-execution scheme: "" or "optimistic",
+	// the only one. The retired "conservative" and "adaptive" schemes are
+	// rejected as removed. It never changes results, so it is validated but
+	// stays out of the memo key.
 	PDES string `json:"pdes,omitempty"`
 	// FaultRate / FaultKinds / FaultSeed configure seeded fault injection
 	// (rate 0 = fault-free; kinds "" = all).
@@ -141,7 +141,6 @@ func (js *JobSpec) Resolve() (*Job, error) {
 //   - the app name is the registry's canonical spelling ("mxm" → "MXM");
 //   - the profile is the registry name with the "" = t3d alias collapsed;
 //   - the topology is the parsed noc.Config, not the flag spelling;
-//   - the pdes scheme is the parsed mode's name ("" = optimistic);
 //   - fault kinds come sorted and deduplicated from fault.ParseKinds, and
 //     the whole fault block collapses to "off" at rate 0 — a disabled
 //     plan's seed and kinds cannot fragment the memo.
@@ -175,8 +174,6 @@ func appendCanonical(dst []byte, app, scale string, cfg *harness.Config) []byte 
 	dst = strconv.AppendInt(dst, int64(cfg.Topology.Y), 10)
 	dst = append(dst, 'x')
 	dst = strconv.AppendInt(dst, int64(cfg.Topology.Z), 10)
-	dst = append(dst, "|pdes="...)
-	dst = append(dst, cfg.PDES.String()...)
 	dst = append(dst, "|fault="...)
 	if !cfg.Fault.Enabled() {
 		dst = append(dst, "off"...)
