@@ -118,6 +118,24 @@ func OwnerOfOffset(a *ir.Array, numPE int, off int64) int {
 	return OwnerOfIndex(a, numPE, off/stride)
 }
 
+// OwnerDivisor returns the words in one PE's slab of a block-distributed
+// shared array, DimStride(last) × ceil(extent/numPE), or 0 when PE 0 owns
+// the whole array (private or non-block arrays, empty extents). For every
+// in-array offset off, OwnerOfOffset is min(off/div, numPE-1), because
+// ⌊⌊off/stride⌋/size⌋ = ⌊off/(stride·size)⌋: the runtime resolves a word's
+// home with one division instead of re-deriving the slab geometry.
+func OwnerDivisor(a *ir.Array, numPE int) int64 {
+	if a.Dist != ir.DistBlock || !a.Shared {
+		return 0
+	}
+	n := SlabExtent(a)
+	if n <= 0 {
+		return 0
+	}
+	size := (n + int64(numPE) - 1) / int64(numPE)
+	return a.DimStride(a.Rank()-1) * size
+}
+
 // OwnedWords returns the word range [lo,hi] (offsets from a.Base) stored in
 // PE pe's local memory; empty chunk if pe owns nothing.
 func OwnedWords(a *ir.Array, numPE, pe int) Chunk {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/craft"
 	"repro/internal/expr"
 	"repro/internal/ir"
 )
@@ -39,11 +40,17 @@ func (a *caff) eval(env []int64, bound []bool) int64 {
 	for i := range a.terms {
 		t := &a.terms[i]
 		if !bound[t.slot] {
-			panic(fmt.Errorf("expr: unbound variable %q", t.name))
+			unboundPanic(t.name)
 		}
 		v += t.coef * env[t.slot]
 	}
 	return v
+}
+
+// unboundPanic raises the unbound-variable diagnostic for eval and for
+// addrOf's written-out copy of it.
+func unboundPanic(name string) {
+	panic(fmt.Errorf("expr: unbound variable %q", name))
 }
 
 // cdim is one compiled array subscript: the affine index plus the
@@ -62,6 +69,9 @@ type cRef struct {
 	scalar int32 // scalar slot; -1 for array refs
 	dims   []cdim
 	base   int64
+	// ownDiv is the array's craft.OwnerDivisor: the home PE of an in-bounds
+	// address is (addr-base)/ownDiv, or 0 when ownDiv is 0 (ownerRef).
+	ownDiv int64
 
 	shared     bool
 	nonCached  bool
@@ -70,6 +80,17 @@ type cRef struct {
 }
 
 func (r *cRef) isScalar() bool { return r.scalar >= 0 }
+
+// ownerRef returns the home PE of addr, an address addrOf resolved for r.
+// addrOf has bounds-checked every subscript, so addr-base < Size ≤
+// ownDiv·numPE and the quotient is already a PE index: this is
+// mem.OwnerOf without the array search or the clamp.
+func ownerRef(r *cRef, addr int64) int {
+	if r.ownDiv == 0 {
+		return 0
+	}
+	return int((addr - r.base) / r.ownDiv)
+}
 
 // --- Compiled expressions -----------------------------------------------
 
@@ -168,6 +189,7 @@ type cProgram struct {
 type compiler struct {
 	prog     *ir.Program
 	syms     *ir.SymTable
+	numPE    int
 	routines map[string]*[]cStmt
 }
 
@@ -179,7 +201,7 @@ func compileProgram(c *core.Compiled, g *ir.EpochGraph) (*cProgram, error) {
 		// table built here; core.Compile pre-resolves it.
 		syms = ir.CollectSyms(c.Prog)
 	}
-	cc := &compiler{prog: c.Prog, syms: syms, routines: map[string]*[]cStmt{}}
+	cc := &compiler{prog: c.Prog, syms: syms, numPE: c.Machine.NumPE, routines: map[string]*[]cStmt{}}
 	cp := &cProgram{syms: syms, nScalars: syms.NumScalars(), nVars: syms.NumVars()}
 	for _, node := range g.Nodes {
 		var ep cEpoch
@@ -233,6 +255,7 @@ func (cc *compiler) ref(r *ir.Ref) (*cRef, error) {
 	}
 	out.arr = r.Array
 	out.base = r.Array.Base
+	out.ownDiv = craft.OwnerDivisor(r.Array, cc.numPE)
 	out.shared = r.Array.Shared
 	stride := int64(1)
 	for d := range r.Index {

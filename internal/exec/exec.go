@@ -243,7 +243,7 @@ type Engine struct {
 // fields injected: the noc near tier is profile-derived, never parsed, so
 // every transport built for this machine (canonical network, optimistic
 // predictor fleet) must come through here to see the same costs.
-func domainTopo(mp machine.Params) noc.Config {
+func domainTopo(mp *machine.Params) noc.Config {
 	topo := mp.Topology
 	if mp.DomainSize > 1 {
 		topo.DomainPEs = mp.DomainSize
@@ -282,7 +282,7 @@ func buildInvPlans(prog *ir.Program, graph *ir.EpochGraph, numPE int, table [][]
 // New builds a reusable engine for a compiled program.
 func New(c *core.Compiled) (*Engine, error) {
 	prog := c.Prog
-	mp := c.Machine
+	mp := &c.Machine
 	graph, err := ir.BuildEpochGraph(prog)
 	if err != nil {
 		return nil, err
@@ -337,12 +337,6 @@ func New(c *core.Compiled) (*Engine, error) {
 	e.domains = mp.DomainSize > 1 && e.inv != nil
 	e.domAware = mp.DomainAware()
 
-	maxRank := 1
-	for _, a := range prog.Arrays {
-		if r := a.Rank(); r > maxRank {
-			maxRank = r
-		}
-	}
 	lines := c.TotalWords/mp.LineWords + 1
 	if c.Mode.IsHW() {
 		cfg := coherence.Config{Org: c.Mode.DirOrg(), Pointers: mp.DirPointers,
@@ -363,12 +357,10 @@ func New(c *core.Compiled) (*Engine, error) {
 	writtenSlab := make([]bool, mp.NumPE*cp.nScalars)
 	envSlab := make([]int64, mp.NumPE*cp.nVars)
 	boundSlab := make([]bool, mp.NumPE*cp.nVars)
-	idxSlab := make([]int64, mp.NumPE*maxRank)
 	for p := 0; p < mp.NumPE; p++ {
 		pe := &peSlab[p]
 		sLo, sHi := p*cp.nScalars, (p+1)*cp.nScalars
 		vLo, vHi := p*cp.nVars, (p+1)*cp.nVars
-		iLo, iHi := p*maxRank, (p+1)*maxRank
 		*pe = peState{
 			id:            p,
 			eng:           e,
@@ -379,7 +371,6 @@ func New(c *core.Compiled) (*Engine, error) {
 			env:           envSlab[vLo:vHi:vHi],
 			bound:         boundSlab[vLo:vHi:vHi],
 			buffered:      bitset.NewSparse(lines),
-			idxScratch:    idxSlab[iLo:iHi:iHi],
 			shScratch:     shmem.NewScratch(e.mem, mp),
 		}
 		e.pes[p] = pe
@@ -403,7 +394,7 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 		}
 	}()
 
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	if err := opts.Fault.Validate(); err != nil {
 		return nil, err
 	}
@@ -447,9 +438,9 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 	// memory, so line fills and prefetch captures race with same-epoch
 	// writes exactly as torus speculation does (the INCOHERENT mode makes
 	// the race observable as nondeterministic oracle counts). The same
-	// capture bookkeeping settles them deterministically (spec.go); the
-	// exclusions mirror e.optimistic's, and excluded runs keep the plain
-	// fan-out.
+	// capture bookkeeping settles them deterministically (spec.go). The
+	// exclusions mirror e.optimistic's, and excluded runs take the
+	// canonical sequential order, never an unsettled fan-out.
 	e.flatSpec = e.net == nil && mp.NumPE > 1 && !opts.DetectRaces &&
 		e.hw == nil && e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
 	for _, pe := range e.pes {
@@ -573,7 +564,7 @@ func (e *Engine) runAll() error {
 // epoch executes one dynamic epoch instance, including the boundary
 // actions (invalidation before, barrier and queue flush after).
 func (e *Engine) epoch(inst *epochInst) error {
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	node := inst.node
 	e.stats.Epochs++
 
@@ -693,22 +684,25 @@ func (e *Engine) epoch(inst *epochInst) error {
 //     concurrently on private predictor networks, then a serial pass
 //     validates and commits (or rolls back and re-executes) in PE-major
 //     order (spec.go).
-//   - DetectRaces or 1 PE or a HWDIR mode or any other torus run
-//     (Options.SerialTorus, a single-threaded scheduler, fault injection,
-//     tracing, stale-ref attribution): the PEs run sequentially on the
-//     calling goroutine. This is the canonical order torus link booking is
-//     defined against: PE p's whole epoch books before PE p+1's. The HWDIR
-//     modes are pinned here because directory invalidations mutate OTHER
-//     PEs' caches — the disjoint-data argument the concurrent cases rest
-//     on does not hold for them.
-//   - Flat: no link state exists and PE clocks are fully independent, so
-//     the PEs fan out over the shared worker budget (degrading to inline
-//     when the machine is busy), work-stealing by atomic index. Memory is
-//     still shared, though: line fills and prefetch captures race with
-//     same-epoch writes, so fault-free untraced runs carry the speculative
-//     capture bookkeeping and settle serially afterwards (settleFlat,
-//     spec.go), keeping results bit-identical to the canonical PE-major
-//     order at any GOMAXPROCS.
+//   - Flat with settlement on (e.flatSpec): no link state exists and PE
+//     clocks are fully independent, so the PEs fan out over the shared
+//     worker budget (degrading to inline when the machine is busy),
+//     work-stealing by atomic index. Memory is still shared, though: line
+//     fills and prefetch captures race with same-epoch writes, so the PEs
+//     carry the speculative capture bookkeeping and settle serially
+//     afterwards (settleFlat, spec.go), keeping results bit-identical to
+//     the canonical PE-major order at any GOMAXPROCS.
+//   - Everything else — DetectRaces, 1 PE, a HWDIR mode, and torus or flat
+//     runs that neither scheme accepts (Options.SerialTorus, a
+//     single-threaded scheduler, fault injection, tracing, stale-ref
+//     attribution): the PEs run sequentially on the calling goroutine.
+//     This is the canonical order torus link booking is defined against:
+//     PE p's whole epoch books before PE p+1's. The HWDIR modes are pinned
+//     here because directory invalidations mutate OTHER PEs' caches — the
+//     disjoint-data argument the concurrent cases rest on does not hold
+//     for them. Faulted, traced and stale-ref runs are pinned here because
+//     their fault streams, trace events and per-ref counts cannot be
+//     settled after the fact.
 func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
 	e.curLoop = e.cp.nodes[node.Index].loop
 	errs := e.errs
@@ -720,7 +714,7 @@ func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
 	case e.optimistic:
 		e.specEpoch()
 
-	case e.opts.DetectRaces || len(e.pes) == 1 || e.hw != nil || e.net != nil:
+	case !e.flatSpec:
 		for p := range e.pes {
 			e.runPE(p)
 		}
@@ -733,9 +727,7 @@ func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
 			}
 			break
 		}
-		if e.flatSpec {
-			e.beginMemSpec()
-		}
+		e.beginMemSpec()
 		e.mem.SetSerial(false)
 		var next atomic.Int64
 		work := func() {
@@ -759,9 +751,7 @@ func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
 		wg.Wait()
 		parallel.ReleaseWorkers(extra)
 		e.mem.SetSerial(true)
-		if e.flatSpec {
-			e.settleFlat()
-		}
+		e.settleFlat()
 	}
 
 	for _, err := range errs {

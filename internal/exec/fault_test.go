@@ -141,15 +141,15 @@ func TestPrefetchQueueOverflowDemotes(t *testing.T) {
 	eng.mem.Write(addr0, 5.0)
 	eng.mem.Write(addr1, 7.0)
 
-	pe.issueAt(addr0)
-	pe.issueAt(addr1)
+	pe.issueAt(addr0, eng.mem.OwnerOf(addr0))
+	pe.issueAt(addr1, eng.mem.OwnerOf(addr1))
 	if pe.pq.Dropped != 1 {
 		t.Fatalf("queue dropped %d words, want 1", pe.pq.Dropped)
 	}
 
 	ref0 := ir.At(arr, ir.K(0))
 	ref0.Prefetched = true
-	if v := pe.readMem(compileRef(t, eng, ref0), addr0); v != 5.0 {
+	if v := pe.readMem(compileRef(t, eng, ref0), addr0, eng.mem.OwnerOf(addr0)); v != 5.0 {
 		t.Errorf("queued word read %v, want 5.0", v)
 	}
 	if pe.pq.Consumed != 1 || pe.stats.Demotions != 0 {
@@ -159,7 +159,7 @@ func TestPrefetchQueueOverflowDemotes(t *testing.T) {
 
 	ref1 := ir.At(arr, ir.K(1))
 	ref1.Prefetched = true
-	if v := pe.readMem(compileRef(t, eng, ref1), addr1); v != 7.0 {
+	if v := pe.readMem(compileRef(t, eng, ref1), addr1, eng.mem.OwnerOf(addr1)); v != 7.0 {
 		t.Errorf("overflow-dropped word read %v, want the fresh 7.0", v)
 	}
 	if pe.stats.Demotions != 1 {
@@ -241,8 +241,7 @@ func plantPE(t *testing.T, opts Options) (*Engine, *peState) {
 		env:           make([]int64, c.Syms.NumVars()),
 		bound:         make([]bool, c.Syms.NumVars()),
 		buffered:      bitset.NewSparse(c.TotalWords/c.Machine.LineWords + 1),
-		idxScratch:    make([]int64, 4),
-		shScratch:     shmem.NewScratch(m, c.Machine),
+		shScratch:     shmem.NewScratch(m, &c.Machine),
 	}
 	if eng.inj != nil {
 		pe.fault = eng.inj.PE(0)
@@ -255,7 +254,7 @@ func plantPE(t *testing.T, opts Options) (*Engine, *peState) {
 // would, so tests can drive readMem directly.
 func compileRef(t *testing.T, eng *Engine, r *ir.Ref) *cRef {
 	t.Helper()
-	cc := &compiler{prog: eng.c.Prog, syms: eng.c.Syms, routines: map[string]*[]cStmt{}}
+	cc := &compiler{prog: eng.c.Prog, syms: eng.c.Syms, numPE: eng.c.Machine.NumPE, routines: map[string]*[]cStmt{}}
 	cr, err := cc.ref(r)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +274,7 @@ func TestOracleCatchesPlantedStaleLine(t *testing.T) {
 	pe.installLine(addr, 0)  // cache now holds gen 1
 	eng.mem.Write(addr, 2.0) // gen 2: the cached copy is stale
 
-	v := pe.readMem(compileRef(t, eng, ref), addr)
+	v := pe.readMem(compileRef(t, eng, ref), addr, eng.mem.OwnerOf(addr))
 	if v != 1.0 {
 		t.Fatalf("planted stale hit returned %v, want the stale 1.0", v)
 	}
@@ -308,7 +307,7 @@ func TestPlantedStaleLineDemotesUnderFaults(t *testing.T) {
 	pe.installLine(addr, 0)
 	eng.mem.Write(addr, 2.0)
 
-	v := pe.readMem(compileRef(t, eng, ref), addr)
+	v := pe.readMem(compileRef(t, eng, ref), addr, eng.mem.OwnerOf(addr))
 	if v != 2.0 {
 		t.Fatalf("degraded read returned %v, want the fresh 2.0", v)
 	}

@@ -89,7 +89,7 @@ func (pe *peState) hwLineWriteback(sp *peState, la int64) int64 {
 func (pe *peState) hwFill(la, at, spike int64) int64 {
 	e := pe.eng
 	hw := e.hw
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	m := e.mem
 	home := m.OwnerOf(la)
 	line := la / mp.LineWords
@@ -161,9 +161,9 @@ func (pe *peState) hwFill(la, at, spike int64) int64 {
 
 // readMemHW is the HWDIR modes' demand-read path (the cached path of
 // readMem with the directory behind every miss).
-func (pe *peState) readMemHW(r *cRef, addr int64) float64 {
+func (pe *peState) readMemHW(r *cRef, addr int64, home int) float64 {
 	e := pe.eng
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	m := e.mem
 	la := addr - addr%mp.LineWords
 
@@ -198,7 +198,7 @@ func (pe *peState) readMemHW(r *cRef, addr int64) float64 {
 
 	// Demand miss: fill the whole line through the directory.
 	pe.now = pe.hwFill(la, pe.now, pe.remoteSpike())
-	if m.OwnerOf(addr) == pe.id {
+	if home == pe.id {
 		pe.stats.LocalReads++
 		pe.record(addr, trace.KindMiss)
 	} else {
@@ -213,11 +213,11 @@ func (pe *peState) readMemHW(r *cRef, addr int64) float64 {
 
 // writeHW is the HWDIR modes' store path: the functional write-through to
 // memory already happened (gen is its generation); here the directory
-// invalidates every other copy and the MESI state advances. local reports
-// whether addr's home is this PE.
-func (pe *peState) writeHW(addr int64, v float64, gen uint32, local bool) {
+// invalidates every other copy and the MESI state advances. addrHome is
+// addr's home PE.
+func (pe *peState) writeHW(addr int64, v float64, gen uint32, addrHome int) {
 	e := pe.eng
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	hw := e.hw
 	la := addr - addr%mp.LineWords
 	line := la / mp.LineWords
@@ -244,11 +244,11 @@ func (pe *peState) writeHW(addr int64, v float64, gen uint32, local bool) {
 		}
 	}
 
-	if local {
+	if addrHome == pe.id {
 		pe.now += mp.LocalWriteCost
 		pe.stats.LocalWrites++
 	} else {
-		pe.chargeRemoteWrite(addr)
+		pe.chargeRemoteWrite(addrHome)
 	}
 }
 
@@ -287,7 +287,7 @@ func (pe *peState) hwObserve(r *cRef, addr int64, miss bool) {
 	if pe.hwPref == nil {
 		return
 	}
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	pe.prefScratch = pe.hwPref.Observe(int64(r.src.ID), addr, miss, pe.prefScratch[:0])
 	issued := 0
 	for _, la := range pe.prefScratch {

@@ -270,24 +270,28 @@ func TestEngineReuseIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestIncoherentTorusFallbackMatchesSerial guards the runs speculation
-// excludes — stale-ref attribution and fault injection — on programs whose
-// oracle counts depend on exactly when line fills capture same-epoch
-// writes. INCOHERENT SWIM and TOMCATV consume stale words in nearly every
-// epoch, so any concurrent execution that lets a fill race a write shows
-// up as a drifting violation count. Every run at GOMAXPROCS 4 must
-// reproduce the SerialTorus reference exactly: oracle violations (and the
-// whole stats block), per-PE cycles, the network summary and the per-ref
-// stale attribution.
-func TestIncoherentTorusFallbackMatchesSerial(t *testing.T) {
+// TestIncoherentFallbackMatchesSerial guards the runs the concurrent
+// schemes exclude — stale-ref attribution and fault injection — on both
+// topologies: torus speculation and the settled flat fan-out leave them to
+// the canonical sequential order. INCOHERENT SWIM and TOMCATV consume
+// stale words in nearly every epoch, so any concurrent execution that lets
+// a line fill race a same-epoch write shows up as a drifting violation
+// count. Every run at GOMAXPROCS 4 must reproduce the reference taken at
+// GOMAXPROCS 1 exactly: oracle violations (and the whole stats block),
+// per-PE cycles, the network summary and the per-ref stale attribution.
+func TestIncoherentFallbackMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
 	const runs = 30
-	topo, err := noc.Parse("torus")
+	torus, err := noc.Parse("torus")
 	if err != nil {
 		t.Fatal(err)
 	}
+	topos := []struct {
+		name string
+		topo noc.Config
+	}{{"torus", torus}, {"flat", noc.Config{}}}
 	apps := []*workloads.Spec{workloads.SWIM(65, 2), workloads.TOMCATV(65, 2)}
 	variants := []struct {
 		name string
@@ -296,46 +300,48 @@ func TestIncoherentTorusFallbackMatchesSerial(t *testing.T) {
 		{"stale-refs", exec.Options{TrackStaleRefs: true}},
 		{"faulted", exec.Options{Fault: fault.Plan{Seed: 11, Rate: 0.02, Kinds: fault.AllKinds()}}},
 	}
-	for _, spec := range apps {
-		mp := machine.T3D(8)
-		mp.Topology = topo
-		c, err := core.Compile(spec.Prog, core.ModeIncoherent, mp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range variants {
-			t.Run(spec.Name+"/"+v.name, func(t *testing.T) {
-				ref := v.opts
-				ref.SerialTorus = true
-				want, err := exec.Run(c, ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.Stats.OracleViolations == 0 {
-					t.Fatal("reference run reports no oracle violations; the test is vacuous")
-				}
-				mismatches := 0
-				for i := 0; i < runs; i++ {
-					got, err := exec.Run(c, v.opts)
+	for _, tp := range topos {
+		for _, spec := range apps {
+			mp := machine.T3D(8)
+			mp.Topology = tp.topo
+			c, err := core.Compile(spec.Prog, core.ModeIncoherent, mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range variants {
+				t.Run(tp.name+"/"+spec.Name+"/"+v.name, func(t *testing.T) {
+					runtime.GOMAXPROCS(1)
+					want, err := exec.Run(c, v.opts)
+					runtime.GOMAXPROCS(4)
 					if err != nil {
 						t.Fatal(err)
 					}
-					same := got.Stats == want.Stats &&
-						reflect.DeepEqual(got.PECycles, want.PECycles) &&
-						reflect.DeepEqual(got.Net, want.Net) &&
-						reflect.DeepEqual(got.StaleByRef, want.StaleByRef)
-					if !same {
-						if mismatches == 0 {
-							t.Errorf("run %d: oracle violations %d, serial %d; cycles %d, serial %d",
-								i, got.Stats.OracleViolations, want.Stats.OracleViolations, got.Cycles, want.Cycles)
-						}
-						mismatches++
+					if want.Stats.OracleViolations == 0 {
+						t.Fatal("reference run reports no oracle violations; the test is vacuous")
 					}
-				}
-				if mismatches > 0 {
-					t.Errorf("%d of %d runs diverge from the SerialTorus reference", mismatches, runs)
-				}
-			})
+					mismatches := 0
+					for i := 0; i < runs; i++ {
+						got, err := exec.Run(c, v.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same := got.Stats == want.Stats &&
+							reflect.DeepEqual(got.PECycles, want.PECycles) &&
+							reflect.DeepEqual(got.Net, want.Net) &&
+							reflect.DeepEqual(got.StaleByRef, want.StaleByRef)
+						if !same {
+							if mismatches == 0 {
+								t.Errorf("run %d: oracle violations %d, serial %d; cycles %d, serial %d",
+									i, got.Stats.OracleViolations, want.Stats.OracleViolations, got.Cycles, want.Cycles)
+							}
+							mismatches++
+						}
+					}
+					if mismatches > 0 {
+						t.Errorf("%d of %d runs diverge from the GOMAXPROCS 1 reference", mismatches, runs)
+					}
+				})
+			}
 		}
 	}
 }

@@ -99,12 +99,10 @@ type peState struct {
 	reads, writes  *bitset.Sparse
 	raceRd, raceWr *bitset.Sparse
 
-	// idxScratch holds one reference's subscript values during address
-	// computation; vpAddrs accumulates a vector prefetch's address list;
-	// shScratch is this PE's reusable shmem transfer state.
-	idxScratch []int64
-	vpAddrs    []int64
-	shScratch  *shmem.Scratch
+	// vpAddrs accumulates a vector prefetch's address list; shScratch is
+	// this PE's reusable shmem transfer state.
+	vpAddrs   []int64
+	shScratch *shmem.Scratch
 
 	// hwPref is this PE's runtime prefetcher (HWDIR modes with
 	// machine.HWPrefetcher set; nil otherwise). hwPrefetched tracks the
@@ -138,7 +136,7 @@ type peState struct {
 
 // runDoall executes the PE's share of a parallel epoch.
 func (pe *peState) runDoall(l *cLoop) error {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	lo := pe.evalAffine(&l.lo)
 	hi := pe.evalAffine(&l.hi)
 	step := l.step
@@ -218,7 +216,7 @@ func (pe *peState) runStmts(body []cStmt) error {
 }
 
 func (pe *peState) runStmt(s cStmt) error {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	switch st := s.(type) {
 	case *cLoop:
 		if st.parallel {
@@ -257,7 +255,7 @@ func (pe *peState) runStmt(s cStmt) error {
 // runSerialLoop interprets a serial loop, driving any software-pipelined
 // prefetch streams attached to it.
 func (pe *peState) runSerialLoop(l *cLoop) error {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	lo := pe.evalAffine(&l.lo)
 	hi := pe.evalAffine(&l.hi)
 	step := l.step
@@ -301,7 +299,7 @@ func (pe *peState) runSerialLoop(l *cLoop) error {
 // --- Value evaluation -----------------------------------------------------
 
 func (pe *peState) evalExpr(e cExpr) float64 {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	switch x := e.(type) {
 	case *cNum:
 		return x.v
@@ -374,20 +372,43 @@ func (pe *peState) evalAffine(a *caff) int64 {
 // addrOf resolves an array reference to a word address. Subscripts are all
 // evaluated before any bound is checked, and bounds are checked in
 // dimension order — the exact panic precedence of mem.AddrOf over
-// MustEval'd indices, which it replaces.
+// MustEval'd indices, which it replaces. One pass evaluates, range-checks
+// and accumulates; only an out-of-range reference takes boundsPanic's
+// second, ordered pass. The inner loop is caff.eval written out: eval is
+// over the compiler's inlining budget, and dropping the call measured
+// about 9% off BenchmarkEngineHotPathMXMCCDP.
 func (pe *peState) addrOf(r *cRef) int64 {
-	idx := pe.idxScratch[:len(r.dims)]
-	for d := range r.dims {
-		idx[d] = r.dims[d].idx.eval(pe.env, pe.bound)
-	}
+	env, bound := pe.env, pe.bound
 	addr := r.base
+	inRange := true
 	for d := range r.dims {
-		if idx[d] < 0 || idx[d] >= r.dims[d].extent {
-			mem.BoundsPanic(r.arr, d, idx[d])
+		cd := &r.dims[d]
+		x := cd.idx.k
+		for i := range cd.idx.terms {
+			t := &cd.idx.terms[i]
+			if !bound[t.slot] {
+				unboundPanic(t.name)
+			}
+			x += t.coef * env[t.slot]
 		}
-		addr += idx[d] * r.dims[d].stride
+		inRange = inRange && uint64(x) < uint64(cd.extent)
+		addr += x * cd.stride
+	}
+	if !inRange {
+		pe.boundsPanic(r)
 	}
 	return addr
+}
+
+// boundsPanic reports the first out-of-range subscript of r in dimension
+// order. Subscript evaluation is pure and every subscript already
+// evaluated cleanly once in addrOf, so re-evaluating them is exact.
+func (pe *peState) boundsPanic(r *cRef) {
+	for d := range r.dims {
+		if x := r.dims[d].idx.eval(pe.env, pe.bound); x < 0 || x >= r.dims[d].extent {
+			mem.BoundsPanic(r.arr, d, x)
+		}
+	}
 }
 
 // --- Register window --------------------------------------------------------
@@ -438,25 +459,25 @@ func (pe *peState) readRef(r *cRef) float64 {
 		}
 		return v
 	}
-	v := pe.readMem(r, addr)
+	v := pe.readMem(r, addr, ownerRef(r, addr))
 	pe.regInsert(addr, v)
 	return v
 }
 
 // readMem performs the actual memory access for a read that missed the
-// register window. Every path ends in oracleCheck: the coherence safety
-// oracle verifies the consumed word's generation against memory on every
-// read the simulated program makes.
-func (pe *peState) readMem(r *cRef, addr int64) float64 {
+// register window; home is addr's home PE. Every path ends in oracleCheck:
+// the coherence safety oracle verifies the consumed word's generation
+// against memory on every read the simulated program makes.
+func (pe *peState) readMem(r *cRef, addr int64, home int) float64 {
 	// Hardware coherence arena: every cached access goes through the
 	// directory protocol instead (hw.go). The HW pipelines never mark refs
 	// non-cached or bypass, so no software path is bypassed here.
 	if pe.eng.hw != nil {
-		return pe.readMemHW(r, addr)
+		return pe.readMemHW(r, addr, home)
 	}
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
-	local := m.OwnerOf(addr) == pe.id
+	local := home == pe.id
 
 	// BASE: CRAFT shared data is never cached.
 	if r.nonCached {
@@ -467,7 +488,7 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 			pe.stats.LocalReads++
 			pe.record(addr, trace.KindLocalRead)
 		} else {
-			pe.chargeRemoteRead(addr, 1)
+			pe.chargeRemoteRead(home, 1)
 			pe.record(addr, trace.KindRemote)
 		}
 		v, g := m.Read(addr)
@@ -484,7 +505,7 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 			pe.stats.LocalReads++
 			pe.record(addr, trace.KindLocalRead)
 		} else {
-			pe.chargeRemoteRead(addr, 1)
+			pe.chargeRemoteRead(home, 1)
 			pe.record(addr, trace.KindRemote)
 		}
 		v, g := m.Read(addr)
@@ -533,7 +554,7 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 			pe.record(addr, trace.KindPrefetched)
 			return e.Val
 		}
-	} else if r.prefetched && !demoted && !pe.domainSkip(addr) {
+	} else if r.prefetched && !demoted && !pe.domainSkip(addr, home) {
 		// A scheduled prefetch never arrived (queue overflow, or an
 		// injected drop): the reference demotes to the demand fetch
 		// below, which is exactly the paper's bypass fallback. Words the
@@ -559,14 +580,14 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 	// except in the deliberately broken INCOHERENT mode, which caches it
 	// with no coherence action (the failure the paper's scheme prevents).
 	if pe.eng.c.Mode == core.ModeIncoherent {
-		pe.chargeRemoteRead(addr, mp.LineWords) // caches it: a whole line crosses the wire
+		pe.chargeRemoteRead(home, mp.LineWords) // caches it: a whole line crosses the wire
 		pe.installLine(addr, pe.now)
 		pe.record(addr, trace.KindRemote)
 		v, g := m.Read(addr)
 		pe.oracleCheck(r, addr, g)
 		return v
 	}
-	pe.chargeRemoteRead(addr, 1)
+	pe.chargeRemoteRead(home, 1)
 	pe.record(addr, trace.KindRemote)
 	v, g := m.Read(addr)
 	pe.oracleCheck(r, addr, g)
@@ -574,14 +595,13 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 }
 
 // chargeRemoteRead advances the PE clock over one blocking remote read of
-// `words` payload words from addr's home PE. Flat: the constant
+// `words` payload words from the home PE. Flat: the constant
 // RemoteReadCost (plus any injected spike). Torus: a routed round trip
 // whose latency depends on hop distance and link contention; an injected
 // spike becomes a hotspot holding the home's reply link, so it also delays
 // unrelated traffic routed through that link.
-func (pe *peState) chargeRemoteRead(addr, words int64) {
-	mp := pe.eng.c.Machine
-	home := pe.eng.mem.OwnerOf(addr)
+func (pe *peState) chargeRemoteRead(home int, words int64) {
+	mp := &pe.eng.c.Machine
 	if tr := pe.tr; tr != nil {
 		arrive, _ := tr.RoundTrip(pe.id, home, words, pe.now, pe.remoteSpike())
 		pe.now = arrive
@@ -607,18 +627,18 @@ func (pe *peState) countDomainWords(home int, words int64) {
 }
 
 // domainSkip reports whether the domain-aware compiler suppresses a
-// scheduled prefetch of addr on this PE: the word is homed inside the PE's
-// own coherence domain and lies outside the PE's cross-domain refetch
-// ranges for the current epoch, so any cached copy of it is hardware-fresh
-// and a demand miss costs only the near tier — a prefetch would waste
-// issue slots and queue capacity. Cross-domain-homed words keep their
-// prefetches (latency hiding), as do near-homed words a cross-domain PE
-// may have dirtied (they must be refetched coherently).
-func (pe *peState) domainSkip(addr int64) bool {
+// scheduled prefetch of addr, homed on PE home, on this PE: the word is
+// homed inside the PE's own coherence domain and lies outside the PE's
+// cross-domain refetch ranges for the current epoch, so any cached copy of
+// it is hardware-fresh and a demand miss costs only the near tier — a
+// prefetch would waste issue slots and queue capacity. Cross-domain-homed
+// words keep their prefetches (latency hiding), as do near-homed words a
+// cross-domain PE may have dirtied (they must be refetched coherently).
+func (pe *peState) domainSkip(addr int64, home int) bool {
 	if !pe.eng.domains {
 		return false
 	}
-	if !pe.eng.c.Machine.SameDomain(pe.id, pe.eng.mem.OwnerOf(addr)) {
+	if !pe.eng.c.Machine.SameDomain(pe.id, home) {
 		return false
 	}
 	for _, r := range pe.crossInv {
@@ -629,11 +649,11 @@ func (pe *peState) domainSkip(addr int64) bool {
 	return true
 }
 
-// chargeRemoteWrite charges one buffered, non-blocking remote store: the PE
-// pays only the constant injection cost, but over a torus the store's
-// packet is still booked along the route so it contends with other traffic.
-func (pe *peState) chargeRemoteWrite(addr int64) {
-	home := pe.eng.mem.OwnerOf(addr)
+// chargeRemoteWrite charges one buffered, non-blocking remote store to the
+// home PE: the PE pays only the constant injection cost, but over a torus
+// the store's packet is still booked along the route so it contends with
+// other traffic.
+func (pe *peState) chargeRemoteWrite(home int) {
 	if tr := pe.tr; tr != nil {
 		tr.Send(pe.id, home, 1, pe.now, 0)
 	}
@@ -681,13 +701,14 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 		pe.scalarWritten[r.scalar] = true
 		return
 	}
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
 	addr := pe.addrOf(r)
 	if pe.writes != nil && r.shared {
 		pe.writes.Add(addr)
 	}
-	local := m.OwnerOf(addr) == pe.id
+	home := ownerRef(r, addr)
+	local := home == pe.id
 
 	pe.regUpdate(addr, v)
 	pe.record(addr, trace.KindWrite)
@@ -704,7 +725,7 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 	// Hardware coherence arena: memory is current (write-through above);
 	// the directory invalidates every other cached copy (hw.go).
 	if pe.eng.hw != nil {
-		pe.writeHW(addr, v, gen, local)
+		pe.writeHW(addr, v, gen, home)
 		return
 	}
 
@@ -715,7 +736,7 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 			pe.now += mp.LocalWriteCost
 			pe.stats.LocalWrites++
 		} else {
-			pe.chargeRemoteWrite(addr)
+			pe.chargeRemoteWrite(home)
 		}
 		return
 	}
@@ -723,7 +744,7 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 		pe.now += mp.LocalWriteCost
 		pe.stats.LocalWrites++
 	} else {
-		pe.chargeRemoteWrite(addr)
+		pe.chargeRemoteWrite(home)
 	}
 	// Keep the writer's own cached copy current.
 	pe.cache.UpdateWord(addr, v, gen)
@@ -772,7 +793,8 @@ func (pe *peState) logFill(la int64) {
 // issuePrefetch issues a single-word prefetch for the target at the current
 // environment.
 func (pe *peState) issuePrefetch(target *cRef) {
-	pe.issueAt(pe.addrOf(target))
+	addr := pe.addrOf(target)
+	pe.issueAt(addr, ownerRef(target, addr))
 }
 
 // issuePrefetchAt issues a prefetch for the target with the loop variable at
@@ -783,13 +805,14 @@ func (pe *peState) issuePrefetchAt(target *cRef, v int32, it int64) {
 	pe.env[v], pe.bound[v] = it, true
 	addr := pe.addrOf(target)
 	pe.env[v], pe.bound[v] = oldV, oldB
-	pe.issueAt(addr)
+	pe.issueAt(addr, ownerRef(target, addr))
 }
 
-func (pe *peState) issueAt(addr int64) {
-	mp := pe.eng.c.Machine
+// issueAt issues a single-word prefetch of addr from its home PE owner.
+func (pe *peState) issueAt(addr int64, owner int) {
+	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
-	if pe.domainSkip(addr) {
+	if pe.domainSkip(addr, owner) {
 		// The domain-aware compiler emitted no prefetch for this word at
 		// all: it is near-homed and hardware-fresh, so nothing is issued
 		// and nothing is charged.
@@ -802,7 +825,6 @@ func (pe *peState) issueAt(addr int64) {
 		return
 	}
 	var readyAt int64
-	owner := m.OwnerOf(addr)
 	if owner == pe.id {
 		lat := mp.LocalMemCost
 		if pe.fault != nil {
@@ -848,7 +870,7 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 	for v := lo; v <= hi; v += step {
 		pe.env[vp.varSlot] = v
 		a := pe.addrOf(vp.target)
-		if pe.domainSkip(a) {
+		if pe.domainSkip(a, ownerRef(vp.target, a)) {
 			// The domain-aware compiler pulls only the words hardware
 			// cannot keep fresh; near-homed hardware-coherent words are
 			// left out of the gather entirely.
@@ -860,7 +882,7 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 	if len(pe.vpAddrs) == 0 {
 		return
 	}
-	cost, droppedLines := shmem.GetOverNet(pe.eng.mem, pe.cache, pe.eng.c.Machine, pe.tr, pe.id, pe.vpAddrs, pe.now, pe.shFaults, pe.shScratch)
+	cost, droppedLines := shmem.GetOverNet(pe.eng.mem, pe.cache, &pe.eng.c.Machine, pe.tr, pe.id, pe.vpAddrs, pe.now, pe.shFaults, pe.shScratch)
 	pe.now += cost
 	lw := pe.eng.c.Machine.LineWords
 	for _, a := range pe.vpAddrs {
@@ -877,7 +899,7 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 	}
 	if pe.eng.domAware {
 		for _, a := range pe.vpAddrs {
-			if home := pe.eng.mem.OwnerOf(a); home != pe.id {
+			if home := ownerRef(vp.target, a); home != pe.id {
 				pe.countDomainWords(home, 1)
 			}
 		}

@@ -258,7 +258,7 @@ func (e *Engine) Close() {
 // memory, which then holds every PE's writes): the mutation breaks timing
 // canonicalization specifically, not replay determinism.
 func (e *Engine) specEpoch() {
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	if e.recs == nil {
 		preds, err := noc.NewFleet(domainTopo(mp), mp.NumPE, len(e.pes))
 		if err != nil {

@@ -288,8 +288,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// DomainOf returns the coherence domain of a PE.
-func (p Params) DomainOf(pe int) int {
+// DomainOf returns the coherence domain of a PE. DomainOf, SameDomain and
+// the two CostFor methods run once per simulated remote access, so they
+// take a pointer: with a value receiver every call, inlined or not, copies
+// the whole Params.
+func (p *Params) DomainOf(pe int) int {
 	if p.DomainSize <= 1 {
 		return pe
 	}
@@ -297,7 +300,7 @@ func (p Params) DomainOf(pe int) int {
 }
 
 // SameDomain reports whether two PEs share a hardware-coherent domain.
-func (p Params) SameDomain(a, b int) bool {
+func (p *Params) SameDomain(a, b int) bool {
 	return p.DomainOf(a) == p.DomainOf(b)
 }
 
@@ -334,7 +337,7 @@ func (p Params) DomainAware() bool {
 // requesting PE and the home PE of the data: the near tier inside a
 // coherence domain, the far RemoteReadCost across domains (and everywhere
 // on machines without domains).
-func (p Params) RemoteReadCostFor(src, home int) int64 {
+func (p *Params) RemoteReadCostFor(src, home int) int64 {
 	if p.NearReadCost > 0 && p.DomainSize > 1 && p.SameDomain(src, home) {
 		return p.NearReadCost
 	}
@@ -342,7 +345,7 @@ func (p Params) RemoteReadCostFor(src, home int) int64 {
 }
 
 // RemoteWriteCostFor is RemoteReadCostFor for buffered remote stores.
-func (p Params) RemoteWriteCostFor(src, home int) int64 {
+func (p *Params) RemoteWriteCostFor(src, home int) int64 {
 	if p.NearWriteCost > 0 && p.DomainSize > 1 && p.SameDomain(src, home) {
 		return p.NearWriteCost
 	}

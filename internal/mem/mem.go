@@ -63,10 +63,17 @@ type Memory struct {
 	// are identical either way; only the synchronization cost differs.
 	serial bool
 
-	// bases[i] is the base address of arrays[i], sorted ascending, for
-	// address→array lookup.
-	bases  []int64
+	// spans[i] is the address range and owner divisor of arrays[i], sorted
+	// by base for address→array lookup. Both are fixed at New, so OwnerOf is
+	// a binary search plus one division, with no per-call slab geometry.
+	spans  []span
 	arrays []*ir.Array
+}
+
+// span is one array's address range [base, end) and its
+// craft.OwnerDivisor (0 when PE 0 owns every word).
+type span struct {
+	base, end, ownDiv int64
 }
 
 // New builds the memory for a laid-out program. Layout must have been
@@ -81,7 +88,7 @@ func New(p *ir.Program, numPE int, totalWords int64) *Memory {
 	arrays := append([]*ir.Array(nil), p.Arrays...)
 	sort.Slice(arrays, func(i, j int) bool { return arrays[i].Base < arrays[j].Base })
 	for _, a := range arrays {
-		m.bases = append(m.bases, a.Base)
+		m.spans = append(m.spans, span{base: a.Base, end: a.Base + a.Size(), ownDiv: craft.OwnerDivisor(a, numPE)})
 		m.arrays = append(m.arrays, a)
 	}
 	return m
@@ -121,27 +128,37 @@ func (m *Memory) ArrayNamed(name string) *ir.Array {
 	return m.prog.ArrayByName(name)
 }
 
+// find returns the index of the span containing addr, or -1 (padding
+// between arrays, or outside every array).
+func (m *Memory) find(addr int64) int {
+	i := sort.Search(len(m.spans), func(i int) bool { return m.spans[i].base > addr }) - 1
+	if i < 0 || addr >= m.spans[i].end {
+		return -1
+	}
+	return i
+}
+
 // ArrayOf returns the array containing the given word address, or nil.
 func (m *Memory) ArrayOf(addr int64) *ir.Array {
-	i := sort.Search(len(m.bases), func(i int) bool { return m.bases[i] > addr })
-	if i == 0 {
-		return nil
+	if i := m.find(addr); i >= 0 {
+		return m.arrays[i]
 	}
-	a := m.arrays[i-1]
-	if addr >= a.Base+a.Size() {
-		return nil
-	}
-	return a
+	return nil
 }
 
 // OwnerOf returns the PE owning the given word address (0 for private
-// arrays and for the sequential configuration).
+// arrays, padding words and the sequential configuration). It equals
+// craft.OwnerOfOffset for every word of every array.
 func (m *Memory) OwnerOf(addr int64) int {
-	a := m.ArrayOf(addr)
-	if a == nil {
+	i := m.find(addr)
+	if i < 0 || m.spans[i].ownDiv == 0 {
 		return 0
 	}
-	return craft.OwnerOfOffset(a, m.numPE, addr-a.Base)
+	p := (addr - m.spans[i].base) / m.spans[i].ownDiv
+	if p >= int64(m.numPE) {
+		p = int64(m.numPE) - 1
+	}
+	return int(p)
 }
 
 // SetSerial switches between plain and atomic word/generation accesses.

@@ -3,7 +3,9 @@ package mem
 import (
 	"testing"
 
+	"repro/internal/craft"
 	"repro/internal/ir"
+	"repro/internal/workloads"
 )
 
 func TestLayoutAlignsToLines(t *testing.T) {
@@ -100,4 +102,60 @@ func TestAddrOfBoundsPanic(t *testing.T) {
 		}
 	}()
 	AddrOf(a, []int64{4})
+}
+
+// arrayScan is ArrayOf by linear scan: the reference the binary search in
+// find is checked against.
+func arrayScan(p *ir.Program, addr int64) *ir.Array {
+	for _, a := range p.Arrays {
+		if addr >= a.Base && addr < a.Base+a.Size() {
+			return a
+		}
+	}
+	return nil
+}
+
+// TestOwnerOfMatchesCraftEveryWord checks the precomputed owner divisor
+// against craft's slab geometry for every word of the address space —
+// every element of every array and the padding between them — on the
+// four applications at small and tiny shapes, including PE counts that do
+// not divide the distributed extents.
+func TestOwnerOfMatchesCraftEveryWord(t *testing.T) {
+	specs := []func() *workloads.Spec{
+		func() *workloads.Spec { return workloads.MXM(32, 16, 8) },
+		func() *workloads.Spec { return workloads.VPENTA(32, 2) },
+		func() *workloads.Spec { return workloads.TOMCATV(33, 2) },
+		func() *workloads.Spec { return workloads.SWIM(33, 2) },
+		func() *workloads.Spec { return workloads.MXM(5, 4, 3) },
+		func() *workloads.Spec { return workloads.VPENTA(5, 1) },
+		func() *workloads.Spec { return workloads.TOMCATV(9, 1) },
+		func() *workloads.Spec { return workloads.SWIM(9, 1) },
+	}
+	for _, build := range specs {
+		spec := build()
+		p := spec.Prog
+		total := Layout(p, 4)
+		for _, numPE := range []int{1, 2, 3, 7, 8, 64} {
+			m := New(p, numPE, total)
+			padding := 0
+			for addr := int64(0); addr < total; addr++ {
+				a := arrayScan(p, addr)
+				if got := m.ArrayOf(addr); got != a {
+					t.Fatalf("%s P=%d addr %d: ArrayOf %v, want %v", spec.Name, numPE, addr, got, a)
+				}
+				want := 0
+				if a != nil {
+					want = craft.OwnerOfOffset(a, numPE, addr-a.Base)
+				} else {
+					padding++
+				}
+				if got := m.OwnerOf(addr); got != want {
+					t.Fatalf("%s P=%d addr %d: OwnerOf %d, want %d", spec.Name, numPE, addr, got, want)
+				}
+			}
+			if padding == 0 {
+				t.Fatalf("%s: no padding words checked", spec.Name)
+			}
+		}
+	}
 }

@@ -77,7 +77,7 @@ type Scratch struct {
 }
 
 // NewScratch sizes a Scratch for transfers against m under mp.
-func NewScratch(m *mem.Memory, mp machine.Params) *Scratch {
+func NewScratch(m *mem.Memory, mp *machine.Params) *Scratch {
 	homes := m.NumPE()
 	if homes < 1 {
 		homes = 1
@@ -129,7 +129,7 @@ func Get(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int64, now in
 // but not installed (the caller must not treat them as locally buffered),
 // late lines are installed with a delayed ready time.
 func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int64, now int64, f *Faults) (int64, *DropSet) {
-	return GetOverNet(m, c, mp, nil, 0, addrs, now, f, nil)
+	return GetOverNet(m, c, &mp, nil, 0, addrs, now, f, nil)
 }
 
 // GetOverNet is GetWithFaults routed over an interconnect model: tr is
@@ -148,7 +148,7 @@ func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int
 //
 // sc may be nil (a private Scratch is allocated); the returned DropSet is
 // valid until the next Get on the same Scratch.
-func GetOverNet(m *mem.Memory, c *cache.Cache, mp machine.Params, tr noc.Transport, src int, addrs []int64, now int64, f *Faults, sc *Scratch) (int64, *DropSet) {
+func GetOverNet(m *mem.Memory, c *cache.Cache, mp *machine.Params, tr noc.Transport, src int, addrs []int64, now int64, f *Faults, sc *Scratch) (int64, *DropSet) {
 	if len(addrs) == 0 {
 		return 0, NoDrops
 	}

@@ -133,7 +133,7 @@ func TestGetOverNetTorus(t *testing.T) {
 	if m.OwnerOf(local) != 0 || m.OwnerOf(rem1) != 1 || m.OwnerOf(rem2) != 2 {
 		t.Fatalf("owners %d/%d/%d, want 0/1/2", m.OwnerOf(local), m.OwnerOf(rem1), m.OwnerOf(rem2))
 	}
-	cost, dropped := GetOverNet(m, c, mp, net, 0, []int64{local, rem1, rem2}, 1000, nil, nil)
+	cost, dropped := GetOverNet(m, c, &mp, net, 0, []int64{local, rem1, rem2}, 1000, nil, nil)
 	if dropped != NoDrops || dropped.Len() != 0 {
 		t.Fatalf("fault-free get dropped %v (want the shared NoDrops sentinel)", dropped.Lines())
 	}
@@ -159,7 +159,7 @@ func TestGetOverNetTorus(t *testing.T) {
 	}
 	// A nil network must reproduce the flat cost for the same request.
 	c2 := cache.New(mp.CacheWords, mp.LineWords)
-	if got, _ := GetOverNet(m, c2, mp, nil, 0, []int64{local, rem1, rem2}, 1000, nil, nil); got != flat {
+	if got, _ := GetOverNet(m, c2, &mp, nil, 0, []int64{local, rem1, rem2}, 1000, nil, nil); got != flat {
 		t.Errorf("flat get cost %d, want %d", got, flat)
 	}
 }

@@ -147,8 +147,10 @@ func (s *Server) runTask(t *task) {
 	if err == nil {
 		data, err = json.Marshal(ar)
 	}
-	s.memo.Complete(t.entry, data, err)
+	// Count the job before Complete publishes it: a client woken by
+	// Complete may read JobsRun at once.
 	s.jobsRun.Add(1)
+	s.memo.Complete(t.entry, data, err)
 }
 
 // enqueue runs every job through the memo: leaders are pushed onto the
