@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ccdpfuzz [-seed 0] [-n 0] [-budget 30s] [-jobs 0] [-out DIR]
-//	         [-mutate none|no-invalidate|no-sched-marks|no-dir-invalidate|no-rollback|no-domain-demotion-check]
+//	         [-mutate none|no-invalidate|no-sched-marks|no-dir-invalidate|no-domain-demotion-check]
 //	         [-shrink] [-max-findings 0]
 //	         [-arrays 5] [-epochs 5] [-offset 3] [-timesteps 3]
 //	ccdpfuzz -replay FILE...
@@ -48,7 +48,7 @@ func main() {
 	budget := flag.Duration("budget", 0, "wall-clock budget (0 = bounded by -n)")
 	jobs := flag.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "directory to write finding artifacts into")
-	mutate := flag.String("mutate", "none", "sabotage compiled programs: none, no-invalidate, no-sched-marks, no-dir-invalidate, no-rollback or no-domain-demotion-check")
+	mutate := flag.String("mutate", "none", "sabotage compiled programs: none, no-invalidate, no-sched-marks, no-dir-invalidate or no-domain-demotion-check")
 	matrix := flag.String("matrix", "", "run configurations, ';'-separated (e.g. \"mode=CCDP pes=8 topo=torus\"); empty = full default matrix")
 	shrinkFlag := flag.Bool("shrink", true, "minimize findings before recording them")
 	maxFindings := flag.Int("max-findings", 0, "stop after this many findings (0 = no cap)")

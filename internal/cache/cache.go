@@ -92,54 +92,6 @@ func (c *Cache) Reset() {
 	c.Hits, c.Misses, c.Evictions, c.Installs, c.InvalidatedLines = 0, 0, 0, 0, 0
 }
 
-// Snapshot is a saved cache state for the optimistic PDES rollback path
-// (internal/exec). A wholesale copy of the line metadata and the two
-// backing slabs is simpler and faster than journaling individual line
-// touches — an 8 KB cache is a ~16 KB memcpy — and the buffers are reused
-// across epochs, so steady-state saves allocate nothing.
-type Snapshot struct {
-	tags, readyAt                                       []int64
-	states                                              []uint8
-	vals                                                []float64
-	gens                                                []uint32
-	hits, misses, evictions, installs, invalidatedLines int64
-}
-
-// Save records the cache's full state into s.
-func (c *Cache) Save(s *Snapshot) {
-	if cap(s.tags) < len(c.lines) {
-		s.tags = make([]int64, len(c.lines))
-		s.readyAt = make([]int64, len(c.lines))
-		s.states = make([]uint8, len(c.lines))
-		s.vals = make([]float64, len(c.vals))
-		s.gens = make([]uint32, len(c.gens))
-	}
-	s.tags, s.readyAt, s.states = s.tags[:len(c.lines)], s.readyAt[:len(c.lines)], s.states[:len(c.lines)]
-	s.vals, s.gens = s.vals[:len(c.vals)], s.gens[:len(c.gens)]
-	for i := range c.lines {
-		l := &c.lines[i]
-		s.tags[i], s.readyAt[i], s.states[i] = l.Tag, l.ReadyAt, l.State
-	}
-	copy(s.vals, c.vals)
-	copy(s.gens, c.gens)
-	s.hits, s.misses, s.evictions, s.installs, s.invalidatedLines =
-		c.Hits, c.Misses, c.Evictions, c.Installs, c.InvalidatedLines
-}
-
-// Restore returns the cache to the state Save recorded. The per-line
-// Vals/Gens slices always point into the cache's own slabs, so restoring
-// the slabs restores every line's contents.
-func (c *Cache) Restore(s *Snapshot) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.Tag, l.ReadyAt, l.State = s.tags[i], s.readyAt[i], s.states[i]
-	}
-	copy(c.vals, s.vals)
-	copy(c.gens, s.gens)
-	c.Hits, c.Misses, c.Evictions, c.Installs, c.InvalidatedLines =
-		s.hits, s.misses, s.evictions, s.installs, s.invalidatedLines
-}
-
 // LineWords returns the line size in words.
 func (c *Cache) LineWords() int64 { return c.lineWords }
 
@@ -189,22 +141,6 @@ func (c *Cache) Install(addr int64, vals []float64, gens []uint32, readyAt int64
 	l.State = 0
 	c.Installs++
 	return evicted
-}
-
-// Refresh overwrites the words and generations of the line at la if it is
-// still resident, preserving its ready time, coherence state and every
-// counter. It reports whether the line was present. The optimistic PDES
-// validation phase (internal/exec) uses it to replace speculatively
-// captured line contents with their canonical values; a refresh is a
-// repair, not a cache event, so unlike Install it counts nothing.
-func (c *Cache) Refresh(la int64, vals []float64, gens []uint32) bool {
-	l := &c.lines[c.slot(la)]
-	if l.Tag != la {
-		return false
-	}
-	copy(l.Vals, vals)
-	copy(l.Gens, gens)
-	return true
 }
 
 // State returns the coherence state byte of the line containing addr, or

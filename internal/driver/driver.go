@@ -215,9 +215,9 @@ func (t *TopologyFlag) Config() (noc.Config, error) {
 func (t *TopologyFlag) String() string { return *t.s }
 
 // checkPDES validates a torus parallel-execution scheme name. The name
-// selects nothing — optimistic speculation is the only concurrent torus
-// scheme and never changes a result — but Machine, SweepConfig and
-// sweepd.JobSpec carry it for API and wire compatibility. It accepts ""
+// selects nothing — the engine runs every parallel epoch in one serial
+// PE-major order — but Machine, SweepConfig and sweepd.JobSpec carry it
+// for API and wire compatibility. It accepts ""
 // and "optimistic" and rejects the removed conservative and adaptive
 // schemes by name.
 func checkPDES(pdes string) error {

@@ -2,21 +2,17 @@
 // program (real float64 arithmetic over the simulated distributed memory),
 // drives the per-PE caches and prefetch queues, and charges cycle costs.
 //
-// Execution follows the paper's epoch model (§3.1): parallel epochs run
-// their DOALL chunks on all PEs concurrently (one goroutine per PE — PEs
-// touch disjoint data inside an epoch, so the simulation is race-free
-// exactly when the program respects the model); serial epochs run on PE 0;
-// every epoch boundary is a barrier, and write-through caches keep home
-// memory current so the boundary memory-update is implicit.
-//
-// Torus-modeled runs execute their parallel epochs concurrently by
-// optimistic speculation with rollback (spec.go): every PE runs its chunk
-// against a private predictor network, then a serial pass validates the
-// bookings in the canonical sequential PE-major order and re-executes the
-// mispredicted PEs, so cycle counts stay bit-identical at any GOMAXPROCS
-// and any goroutine interleaving. Runs speculation cannot rewind (fault
-// injection, tracing, stale-ref attribution) take that canonical order
-// directly.
+// Execution follows the paper's epoch model (§3.1): a parallel epoch runs
+// its DOALL chunks PE by PE on the calling goroutine, in PE-major order
+// (PE p's whole chunk before PE p+1's); serial epochs run on PE 0; every
+// epoch boundary is a barrier, and write-through caches keep home memory
+// current so the boundary memory-update is implicit. PEs touch disjoint
+// data inside an epoch, so the PE-major order is one valid interleaving of
+// the modeled concurrent machine, and its per-PE clocks are the cycle
+// counts the model defines. That order is also the canonical order torus
+// link booking is defined against, so results are identical at any
+// GOMAXPROCS: the engine starts no goroutines. Parallelism lives one level
+// up, across independent sweep points (internal/parallel, sweepd).
 //
 // Coherence is CHECKED, not assumed: every cached word carries the memory
 // generation it was filled with, and a hit on an out-of-date word is
@@ -34,10 +30,7 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/cache"
@@ -48,7 +41,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/parallel"
 	"repro/internal/pfq"
 	"repro/internal/shmem"
 	"repro/internal/stale"
@@ -61,10 +53,7 @@ type Options struct {
 	// DetectRaces records per-epoch read/write address sets of shared
 	// arrays and reports cross-PE conflicts inside one epoch (violations
 	// of the "no data dependences between tasks of a parallel epoch"
-	// model). It forces parallel epochs to run their PEs sequentially: a
-	// program that violates the model must be caught by this checker
-	// deterministically, not by the Go race detector. Expensive; for
-	// tests.
+	// model) and fails the run on the first one. Expensive; for tests.
 	DetectRaces bool
 	// FailOnStale makes Run return an error on the first stale-value read
 	// instead of only counting it.
@@ -72,10 +61,11 @@ type Options struct {
 	// TrackStaleRefs records which reference sites observed stale values
 	// (used by the analysis-soundness property tests).
 	TrackStaleRefs bool
-	// SerialTorus forces torus-modeled parallel epochs onto the canonical
-	// sequential-PE booking order instead of optimistic speculation.
-	// Results are identical either way — the equivalence tests use this as
-	// their reference path.
+	// SerialTorus is ignored: every parallel epoch runs in the canonical
+	// sequential PE-major order.
+	//
+	// Deprecated: the engine has one execution order; the field stays for
+	// source compatibility only.
 	SerialTorus bool
 	// Trace, when non-nil, collects the full memory reference stream
 	// (build with trace.New(numPE)). Expensive; for analysis tooling.
@@ -163,8 +153,7 @@ type invPlan struct {
 // allocation-flat in steady state. An Engine is not safe for concurrent
 // Runs, and the returned Result (memory, PE cycle slice, violations,
 // network summary) aliases Engine-owned storage that the next Run
-// overwrites — copy whatever must outlive it. Engines whose runs fanned
-// PEs out concurrently own parked worker goroutines until Close.
+// overwrites — copy whatever must outlive it.
 type Engine struct {
 	c     *core.Compiled
 	cp    *cProgram
@@ -174,13 +163,8 @@ type Engine struct {
 	// net is the torus interconnect; nil under the flat topology (the
 	// constant-latency model).
 	net *noc.Network
-	// tr is the transport the PEs charge remote traffic through outside
-	// speculative epochs: nil (flat) or net (the canonical sequential
-	// booking order).
-	tr noc.Transport
 	// hw is the hardware coherence layer (hw.go); nil outside the HWDIR
-	// modes. When non-nil, parallel epochs run their PEs sequentially:
-	// directory invalidations mutate other PEs' caches.
+	// modes.
 	hw *hwState
 
 	// Precomputed schedules (New-time, immutable across runs).
@@ -198,30 +182,6 @@ type Engine struct {
 	domains  bool
 	domAware bool
 
-	// Reusable scratch.
-	errs []error
-
-	// Worker pool: one parked goroutine per PE, spawned on the first
-	// speculative epoch and woken per epoch through wake (spec.go).
-	// curLoop stages the epoch's loop for runPE. Engine-method workers
-	// keep the per-epoch fan-out allocation-free (closures and method
-	// values both allocate).
-	wake    []chan struct{}
-	poolWG  sync.WaitGroup
-	curLoop *cLoop
-
-	// Optimistic-PDES state (spec.go): per-PE predictor recorders,
-	// epoch-entry snapshots and re-execution memos, all engine-reused.
-	recs          []*noc.SpecRecorder
-	snaps         []peSnap
-	memos         []memoTransport
-	specRollbacks int64
-
-	// Validation-phase scratch (spec.go): the set of shared words any PE
-	// wrote in the current speculative epoch, and the one being validated
-	// wrote, for the read-write hazard check and the prefetch-queue repair.
-	wAll, wrote *bitset.Sparse
-
 	// Reusable result storage: Run returns &res, so a Result's slices and
 	// Net summary alias Engine-owned memory that the next Run overwrites.
 	res      Result
@@ -232,17 +192,14 @@ type Engine struct {
 	opts       Options
 	stats      stats.Stats
 	inj        *fault.Injector
-	optimistic bool
-	flatSpec   bool
 	staleErr   error
 	violations []fault.Violation
-	staleMu    sync.Mutex
 }
 
 // domainTopo is the machine's interconnect config with its coherence-domain
 // fields injected: the noc near tier is profile-derived, never parsed, so
-// every transport built for this machine (canonical network, optimistic
-// predictor fleet) must come through here to see the same costs.
+// the network built for this machine must come through here to see the
+// domain costs.
 func domainTopo(mp *machine.Params) noc.Config {
 	topo := mp.Topology
 	if mp.DomainSize > 1 {
@@ -304,8 +261,7 @@ func New(c *core.Compiled) (*Engine, error) {
 		}
 	}
 	e := &Engine{c: c, cp: cp, graph: graph, net: net,
-		mem:  mem.New(prog, mp.NumPE, c.TotalWords),
-		errs: make([]error, mp.NumPE),
+		mem: mem.New(prog, mp.NumPE, c.TotalWords),
 	}
 
 	// Precompute the dynamic epoch schedule with context bindings resolved
@@ -408,41 +364,12 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 	e.violations = e.violations[:0]
 	e.inj = fault.NewInjector(opts.Fault, mp.NumPE)
 	e.mem.Reset()
-	// The engine starts single-threaded (epoch setup, serial epochs); the
-	// parallel fan-out flips the memory to atomic mode only while PE
-	// goroutines actually run concurrently.
-	e.mem.SetSerial(true)
 	if e.net != nil {
 		e.net.Reset()
-		e.tr = e.net
-	} else {
-		e.tr = nil
 	}
 	if e.hw != nil {
 		e.hw.dir.Reset()
 	}
-	// Optimistic speculation needs more than one scheduler thread to win
-	// anything; on a single thread the canonical sequential order is the
-	// same simulation without the cross-goroutine choreography. The HW
-	// modes never use it: their epochs are sequential (see hw field). It
-	// also excludes fault injection (fault streams are stateful draws a
-	// rollback cannot rewind), tracing (the stream would record
-	// speculative timings) and stale-ref attribution (per-ref counts would
-	// double-count re-executed reads). Those runs take the canonical
-	// sequential order, which is the reference speculation is proven
-	// against.
-	e.optimistic = e.net != nil && mp.NumPE > 1 && !opts.DetectRaces && !opts.SerialTorus &&
-		e.hw == nil && runtime.GOMAXPROCS(0) > 1 &&
-		e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
-	// Flat concurrent epochs have no link state to validate, but they share
-	// memory, so line fills and prefetch captures race with same-epoch
-	// writes exactly as torus speculation does (the INCOHERENT mode makes
-	// the race observable as nondeterministic oracle counts). The same
-	// capture bookkeeping settles them deterministically (spec.go). The
-	// exclusions mirror e.optimistic's, and excluded runs take the
-	// canonical sequential order, never an unsettled fan-out.
-	e.flatSpec = e.net == nil && mp.NumPE > 1 && !opts.DetectRaces &&
-		e.hw == nil && e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
 	for _, pe := range e.pes {
 		pe.reset()
 	}
@@ -510,14 +437,7 @@ func (pe *peState) reset() {
 	pe.staleByRef = nil
 	pe.demoted = 0
 	pe.crossInv = nil
-	pe.tr = e.tr
-	pe.spec = false
-	pe.pendViol = pe.pendViol[:0]
-	pe.undo = pe.undo[:0]
-	pe.filled = pe.filled[:0]
-	if pe.consumed != nil {
-		pe.consumed.Reset()
-	}
+	pe.tr = e.net
 	pe.fault, pe.shFaults = nil, nil
 	if e.inj != nil {
 		pe.fault = e.inj.PE(pe.id)
@@ -677,90 +597,60 @@ func (e *Engine) epoch(inst *epochInst) error {
 	return nil
 }
 
-// parallelEpoch runs the DOALL on all PEs concurrently, safe because tasks
-// of one epoch touch disjoint data. Three cases:
-//
-//   - Torus with speculation on (e.optimistic): all PEs speculate
-//     concurrently on private predictor networks, then a serial pass
-//     validates and commits (or rolls back and re-executes) in PE-major
-//     order (spec.go).
-//   - Flat with settlement on (e.flatSpec): no link state exists and PE
-//     clocks are fully independent, so the PEs fan out over the shared
-//     worker budget (degrading to inline when the machine is busy),
-//     work-stealing by atomic index. Memory is still shared, though: line
-//     fills and prefetch captures race with same-epoch writes, so the PEs
-//     carry the speculative capture bookkeeping and settle serially
-//     afterwards (settleFlat, spec.go), keeping results bit-identical to
-//     the canonical PE-major order at any GOMAXPROCS.
-//   - Everything else — DetectRaces, 1 PE, a HWDIR mode, and torus or flat
-//     runs that neither scheme accepts (Options.SerialTorus, a
-//     single-threaded scheduler, fault injection, tracing, stale-ref
-//     attribution): the PEs run sequentially on the calling goroutine.
-//     This is the canonical order torus link booking is defined against:
-//     PE p's whole epoch books before PE p+1's. The HWDIR modes are pinned
-//     here because directory invalidations mutate OTHER PEs' caches — the
-//     disjoint-data argument the concurrent cases rest on does not hold
-//     for them. Faulted, traced and stale-ref runs are pinned here because
-//     their fault streams, trace events and per-ref counts cannot be
-//     settled after the fact.
+// parallelEpoch runs the DOALL's chunks PE by PE in PE-major order: PE p's
+// whole epoch runs (and books its torus traffic) before PE p+1's. Tasks of
+// one epoch touch disjoint data, so this order is one valid interleaving of
+// the concurrent machine the paper models; it is the only order the engine
+// has, so every run is reproducible bit for bit. The HWDIR modes rely on it
+// too: their directory invalidations mutate OTHER PEs' caches.
 func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
-	e.curLoop = e.cp.nodes[node.Index].loop
-	errs := e.errs
-	for i := range errs {
-		errs[i] = nil
-	}
-
-	switch {
-	case e.optimistic:
-		e.specEpoch()
-
-	case !e.flatSpec:
-		for p := range e.pes {
-			e.runPE(p)
-		}
-
-	default:
-		extra := parallel.AcquireWorkers(len(e.pes) - 1)
-		if extra == 0 {
-			for p := range e.pes {
-				e.runPE(p)
-			}
-			break
-		}
-		e.beginMemSpec()
-		e.mem.SetSerial(false)
-		var next atomic.Int64
-		work := func() {
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= len(e.pes) {
-					return
-				}
-				e.runPE(p)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < extra; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		parallel.ReleaseWorkers(extra)
-		e.mem.SetSerial(true)
-		e.settleFlat()
-	}
-
-	for _, err := range errs {
-		if err != nil {
+	loop := e.cp.nodes[node.Index].loop
+	for p := range e.pes {
+		if err := e.runPE(p, loop); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// runPE executes PE p's share of a parallel epoch's loop. A panic inside
+// the chunk (a program bug: out-of-range subscript, exhausted demotion
+// budget) becomes a run error naming the PE.
+func (e *Engine) runPE(p int, loop *cLoop) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("PE %d: %v", p, r)
+		}
+	}()
+	pe := e.pes[p]
+	if e.opts.DetectRaces {
+		if pe.raceRd == nil {
+			pe.raceRd = bitset.NewSparse(e.mem.Words())
+			pe.raceWr = bitset.NewSparse(e.mem.Words())
+		}
+		pe.reads = pe.raceRd
+		pe.writes = pe.raceWr
+	}
+	switch e.c.Mode {
+	case core.ModeBase:
+		pe.now += e.c.Machine.CraftDosharedSetupCost
+	case core.ModeCCDP:
+		pe.now += e.c.Machine.CCDPLoopSetupCost
+	}
+	return pe.runDoall(loop)
+}
+
+// SpecRollbacks always returns 0.
+//
+// Deprecated: the engine no longer speculates; kept for source
+// compatibility only.
+func (e *Engine) SpecRollbacks() int64 { return 0 }
+
+// Close does nothing: an Engine owns no goroutines or other resources
+// beyond its memory.
+//
+// Deprecated: kept for source compatibility only.
+func (e *Engine) Close() {}
 
 // checkRaces verifies that no two PEs conflicted inside the epoch. The
 // Sparse sets iterate in insertion order, so the first conflict reported is
@@ -816,21 +706,10 @@ func (e *Engine) reportStale(pe *peState, r *ir.Ref, addr int64, gen uint32) {
 	if r != nil {
 		v.Ref = r.String()
 	}
-	if pe.spec {
-		// Speculative epoch: buffer on the PE and merge at commit (PE-major,
-		// deterministic, no lock); a rollback discards and the re-execution
-		// re-detects.
-		if len(pe.pendViol) < maxRecordedViolations {
-			pe.pendViol = append(pe.pendViol, v)
-		}
-		return
-	}
-	e.staleMu.Lock()
 	if len(e.violations) < maxRecordedViolations {
 		e.violations = append(e.violations, v)
 	}
 	if e.opts.FailOnStale && e.staleErr == nil {
 		e.staleErr = fmt.Errorf("exec: %v", v)
 	}
-	e.staleMu.Unlock()
 }

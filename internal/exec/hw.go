@@ -25,10 +25,9 @@ import (
 // The MESI state byte rides in each cache line (cache.Line.State); the
 // directory's protocol decisions drive the accounting: E fills upgrade
 // silently, S writers run an invalidation round, M victims and recalls
-// write a full line back. HW-mode parallel epochs run their PEs
-// sequentially (exec.parallelEpoch): an invalidation mutates OTHER PEs'
-// caches, which the disjoint-data argument for concurrent epochs cannot
-// cover.
+// write a full line back. An invalidation mutates OTHER PEs' caches
+// mid-epoch, which is sound because parallel epochs run their PEs
+// sequentially in PE-major order (exec.parallelEpoch).
 
 // hwState is the engine's per-run hardware coherence state, non-nil only
 // in the HWDIR modes.
@@ -50,7 +49,7 @@ func (pe *peState) cohMsg(src, dst int, words, at int64) int64 {
 		return at
 	}
 	pe.stats.CohMessages++
-	if tr := pe.eng.tr; tr != nil {
+	if tr := pe.tr; tr != nil {
 		arrive, _ := tr.Send(src, dst, words, at, 0)
 		return arrive
 	}
@@ -130,7 +129,7 @@ func (pe *peState) hwFill(la, at, spike int64) int64 {
 	var arrive int64
 	if home == pe.id {
 		arrive = at + mp.LocalMemCost
-	} else if tr := e.tr; tr != nil {
+	} else if tr := pe.tr; tr != nil {
 		arrive, _ = tr.RoundTrip(pe.id, home, mp.LineWords, at, spike)
 	} else {
 		arrive = at + mp.RemoteReadCostFor(pe.id, home) + spike

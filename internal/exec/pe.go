@@ -32,34 +32,9 @@ type peState struct {
 	pq    *pfq.Queue
 	stats stats.Stats
 
-	// tr is the transport this PE charges remote traffic through: the
-	// engine default (net, or nil under the flat topology) or — optimistic
-	// epochs — the PE's private speculation recorder / rollback
-	// re-execution memo (spec.go).
-	tr noc.Transport
-
-	// spec marks that the PE is executing a speculative torus epoch (or
-	// re-executing it after a rollback): coherence-oracle hits are buffered
-	// in pendViol until the epoch commits, and every memory write first
-	// logs the word's previous bits in undo so a mis-speculation can be
-	// rolled back. Both slices are engine-reused across epochs.
-	spec     bool
-	pendViol []fault.Violation
-	undo     []memUndo
-
-	// consumed/filled are the speculation's capture logs, reset at every
-	// speculative epoch entry. consumed is the set of shared words whose
-	// value or generation the PE's chunk consumed (every readMem path ends
-	// in oracleCheck, which records it): the validation phase convicts the
-	// PE if any of them was written by another PE this epoch, since the
-	// concurrent read raced. filled lists the line addresses the chunk
-	// installed (demand fills and vector-prefetch gets): those captured
-	// whole lines from racing memory, including neighbor words the PE never
-	// consumed, so clean commits repair them from canonical memory instead
-	// of rolling back (spec.go). consumed is allocated on the first
-	// speculative epoch; both are engine-reused.
-	consumed *bitset.Sparse
-	filled   []int64
+	// tr is the torus interconnect this PE books its remote traffic on
+	// (the engine's network); nil under the flat topology.
+	tr *noc.Network
 
 	// scalars holds the PE-private scalar values, indexed by scalar slot;
 	// scalarWritten marks the slots this PE has ever stored to (the set the
@@ -666,9 +641,6 @@ func (pe *peState) chargeRemoteWrite(home int) {
 // program consumes must carry memory's current generation for its address.
 // The fast path is one load and a compare.
 func (pe *peState) oracleCheck(r *cRef, addr int64, gen uint32) {
-	if pe.spec {
-		pe.consumed.Add(addr)
-	}
 	if gen == pe.eng.mem.Gen(addr) {
 		return
 	}
@@ -712,15 +684,7 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 
 	pe.regUpdate(addr, v)
 	pe.record(addr, trace.KindWrite)
-	if pe.spec {
-		b, g := m.PeekBits(addr)
-		pe.undo = append(pe.undo, memUndo{addr: addr, preBits: b, preGen: g})
-	}
 	gen := m.Write(addr, v)
-	if pe.spec {
-		u := &pe.undo[len(pe.undo)-1]
-		u.postBits, u.postGen = math.Float64bits(v), gen
-	}
 
 	// Hardware coherence arena: memory is current (write-through above);
 	// the directory invalidates every other cached copy (hw.go).
@@ -772,20 +736,6 @@ func (pe *peState) installLine(addr int64, readyAt int64) {
 		}
 	}
 	pe.cache.Install(la, vals, gens, readyAt)
-	if pe.spec {
-		pe.logFill(la)
-	}
-}
-
-// logFill records a speculative line fill for the validation phase's
-// capture repair. Consecutive duplicates (a line walked word by word)
-// collapse; non-consecutive ones (evict then refill) are harmless because
-// the repair is idempotent.
-func (pe *peState) logFill(la int64) {
-	if n := len(pe.filled); n > 0 && pe.filled[n-1] == la {
-		return
-	}
-	pe.filled = append(pe.filled, la)
 }
 
 // --- Prefetch operations ----------------------------------------------------
@@ -893,9 +843,6 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 			continue
 		}
 		pe.buffered.Add(la / lw)
-		if pe.spec {
-			pe.logFill(la)
-		}
 	}
 	if pe.eng.domAware {
 		for _, a := range pe.vpAddrs {

@@ -23,9 +23,9 @@ import (
 // of memory.
 const maxIdleEngines = 4
 
-// enginePool is the per-Compiled idle-engine cache. Parked engines hold no
-// goroutines (put closes the worker pool first), so a pool that becomes
-// garbage with its Compiled takes its engines with it.
+// enginePool is the per-Compiled idle-engine cache. Engines own no
+// goroutines, so a pool that becomes garbage with its Compiled takes its
+// engines with it.
 type enginePool struct {
 	mu   sync.Mutex
 	idle []*Engine
@@ -48,11 +48,6 @@ func (p *enginePool) get() *Engine {
 }
 
 func (p *enginePool) put(e *Engine) {
-	// Closing first keeps parked engines goroutine-free: a worker goroutine
-	// is a GC root, and one parked on a pooled engine would keep the engine,
-	// the pool and the Compiled reachable forever. The next Run's first
-	// concurrent epoch respawns the workers.
-	e.Close()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.idle) < maxIdleEngines {

@@ -8,8 +8,7 @@
 //
 // Reproducibility is the design center: a Plan carries a seed and every PE
 // draws from its own RNG stream derived from that seed, so results are
-// bit-identical across runs regardless of how the per-PE goroutines
-// interleave. A zero Plan (rate 0) is the fault-free machine.
+// bit-identical across runs. A zero Plan (rate 0) is the fault-free machine.
 package fault
 
 import (
@@ -253,8 +252,7 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 // PE returns processor id's private fault stream.
 func (inj *Injector) PE(id int) *PE { return inj.pes[id] }
 
-// Counts sums the per-PE fault tallies. Call only after the run's PE
-// goroutines have finished.
+// Counts sums the per-PE fault tallies.
 func (inj *Injector) Counts() Counts {
 	var c Counts
 	for _, pe := range inj.pes {

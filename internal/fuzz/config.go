@@ -189,19 +189,6 @@ func CoherenceMatrix() []RunConfig {
 	return out
 }
 
-// TimingMatrix is the slice of the default matrix where the optimistic
-// torus speculation engages: fault-free CCDP on the torus at an uneven (3)
-// and an even (8) PE count. The rollback-sabotage mutation test uses it to
-// bound its search the way CoherenceMatrix bounds the invalidation tests'.
-func TimingMatrix() []RunConfig {
-	var out []RunConfig
-	for _, pes := range []int{3, 8} {
-		out = append(out, RunConfig{Mode: core.ModeCCDP, PEs: pes,
-			Topology: noc.Config{Kind: noc.KindTorus}})
-	}
-	return out
-}
-
 // HWMatrix is the hardware-directory slice of the default matrix: every
 // directory organization, fault-free, on both topologies at an uneven (3)
 // and an even (8) PE count. The directory-sabotage mutation test uses it

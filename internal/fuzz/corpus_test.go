@@ -3,7 +3,6 @@ package fuzz
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -12,12 +11,7 @@ import (
 // finding ever recorded must keep reproducing its referee exactly, and —
 // for findings that only exist under a sabotage mutation — the same
 // program must keep running clean at head (the bug stays fixed).
-//
-// GOMAXPROCS is raised so the no-rollback witnesses replay faithfully: on a
-// single-threaded scheduler the torus PDES speculation (and the
-// canonical-timing referee guarding it) never engages.
 func TestCorpusReplays(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	entries, err := os.ReadDir("corpus")
 	if err != nil {
 		t.Fatal(err)

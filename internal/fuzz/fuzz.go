@@ -27,7 +27,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/noc"
 	"repro/internal/parallel"
 	"repro/internal/pass"
 	"repro/internal/progen"
@@ -358,32 +357,6 @@ func checkOne(p *ir.Program, golden goldenFn, rc RunConfig, mut Mutation) (f *Fi
 		}
 	}
 
-	// Canonical-timing referee: optimistic torus speculation promises cycle
-	// counts bit-identical to the canonical sequential PE-major booking
-	// order — the array referees above cannot see a speculation that
-	// places link reservations wrongly but computes the right values (the
-	// exact failure MutNoRollback plants), so torus configs are rerun in
-	// the canonical order and compared cycle for cycle. Skipped where the
-	// concurrent path cannot engage (r then already ran canonically).
-	if rc.Topology.Kind != noc.KindFlat && rc.PEs > 1 && runtime.GOMAXPROCS(0) > 1 {
-		sr, err := exec.Run(c, exec.Options{Fault: rc.Fault, SerialTorus: true})
-		if err != nil {
-			return &Finding{Config: rc, Mutation: mut, Referee: RefereeRun,
-				Detail: "canonical serial rerun: " + oneLine(err.Error())}
-		}
-		if r.Cycles != sr.Cycles {
-			return &Finding{Config: rc, Mutation: mut, Referee: RefereeDivergence,
-				Detail: fmt.Sprintf("cycles diverge from canonical serial order: got %d, canonical %d",
-					r.Cycles, sr.Cycles)}
-		}
-		for pe, got := range r.PECycles {
-			if got != sr.PECycles[pe] {
-				return &Finding{Config: rc, Mutation: mut, Referee: RefereeDivergence,
-					Detail: fmt.Sprintf("PE %d cycles diverge from canonical serial order: got %d, canonical %d",
-						pe, got, sr.PECycles[pe])}
-			}
-		}
-	}
 	return nil
 }
 

@@ -1,13 +1,11 @@
 package fuzz
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/noc"
 )
 
 // With CCDP's epoch-boundary invalidation deliberately disabled, the
@@ -100,52 +98,6 @@ func TestMutationNoDirInvalidateFlagged(t *testing.T) {
 	r := Replay(back)
 	if r == nil || r.Referee != RefereeOracle {
 		t.Fatalf("artifact did not reproduce the oracle finding on replay: %+v", r)
-	}
-}
-
-// With the optimistic PDES scheme's rollback disabled, a mispredicting PE
-// keeps its speculative link timings, the computed arrays stay correct, and
-// only the canonical-timing referee (a SerialTorus rerun compared cycle for
-// cycle) can see the drift — the mutation test that proves that referee is
-// not vacuous. Speculation needs a multi-threaded scheduler, so the test
-// raises GOMAXPROCS the way the engine's own equivalence tests do.
-func TestMutationNoRollbackFlagged(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const bound = 60
-	sum, err := Run(Config{
-		Programs:    bound,
-		Matrix:      TimingMatrix(),
-		Mutation:    MutNoRollback,
-		Shrink:      true,
-		MaxFindings: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Findings) == 0 {
-		t.Fatalf("rollback disabled, yet %d programs ran clean: the canonical-timing referee is vacuous", bound)
-	}
-	f := sum.Findings[0]
-	if f.Referee != RefereeDivergence {
-		t.Fatalf("expected a divergence finding, got %s: %s", f.Referee, f.Detail)
-	}
-	if !strings.Contains(f.Detail, "canonical serial order") {
-		t.Fatalf("finding is not a canonical-timing divergence: %s", f.Detail)
-	}
-	if f.Config.Topology.Kind == noc.KindFlat {
-		t.Fatalf("finding not under a torus config: %s", f.Config)
-	}
-	art := FormatFinding(f)
-	back, err := ParseFinding(art)
-	if err != nil {
-		t.Fatalf("artifact does not parse: %v\n%s", err, art)
-	}
-	if back.Mutation != MutNoRollback {
-		t.Fatalf("artifact lost the mutation: %s", back.Mutation)
-	}
-	r := Replay(back)
-	if r == nil || r.Referee != RefereeDivergence {
-		t.Fatalf("artifact did not reproduce the timing divergence on replay: %+v", r)
 	}
 }
 

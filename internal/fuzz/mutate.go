@@ -35,14 +35,6 @@ const (
 	// coherence oracle, proving the oracle also guards the arena's
 	// directory modes. A no-op outside the hardware modes.
 	MutNoDirInvalidate
-	// MutNoRollback disables the optimistic PDES scheme's rollback: a PE
-	// whose speculative link timings mispredict keeps them anyway, so its
-	// cycle counts silently drift from the canonical PE-major booking
-	// order while the computed arrays stay correct. The canonical-timing
-	// referee (a SerialTorus rerun compared cycle for cycle) must flag the
-	// drift. A no-op off the torus, below 2 PEs, and on a single-threaded
-	// scheduler, where speculation never engages.
-	MutNoRollback
 	// MutNoDomainDemotion models a domain-aware compiler that trusts the
 	// coherence domains too far: on a machine with multi-PE domains it
 	// empties every software (cross-domain) invalidation set of a CCDP
@@ -67,8 +59,6 @@ func (m Mutation) String() string {
 		return "no-sched-marks"
 	case MutNoDirInvalidate:
 		return "no-dir-invalidate"
-	case MutNoRollback:
-		return "no-rollback"
 	case MutNoDomainDemotion:
 		return "no-domain-demotion-check"
 	default:
@@ -78,12 +68,12 @@ func (m Mutation) String() string {
 
 // ParseMutation reads a Mutation in String form.
 func ParseMutation(s string) (Mutation, error) {
-	for _, m := range []Mutation{MutNone, MutNoInvalidate, MutNoSchedMarks, MutNoDirInvalidate, MutNoRollback, MutNoDomainDemotion} {
+	for _, m := range []Mutation{MutNone, MutNoInvalidate, MutNoSchedMarks, MutNoDirInvalidate, MutNoDomainDemotion} {
 		if s == m.String() {
 			return m, nil
 		}
 	}
-	return MutNone, fmt.Errorf("fuzz: unknown mutation %q (want none, no-invalidate, no-sched-marks, no-dir-invalidate, no-rollback or no-domain-demotion-check)", s)
+	return MutNone, fmt.Errorf("fuzz: unknown mutation %q (want none, no-invalidate, no-sched-marks, no-dir-invalidate or no-domain-demotion-check)", s)
 }
 
 // Sabotage applies m to a compiled program in place. It is a no-op for
@@ -115,8 +105,6 @@ func Sabotage(c *core.Compiled, m Mutation) {
 			return
 		}
 		c.Machine.DirDropInvalidations = true
-	case MutNoRollback:
-		c.Machine.PDESNoRollback = true
 	case MutNoDomainDemotion:
 		if c.Stale == nil || c.Machine.DomainSize <= 1 {
 			return

@@ -7,14 +7,13 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/noc"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -140,29 +139,23 @@ func RunApp(s *workloads.Spec, cfg Config) (*AppResult, error) {
 		}
 		jobs = append(jobs, job{p, core.ModeCCDP})
 	}
-	results := make(map[job]out, len(jobs))
-	var mu sync.Mutex
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)/2))
-	var wg sync.WaitGroup
-	for _, jb := range jobs {
-		wg.Add(1)
-		go func(jb job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r, attempts, err := runVerified(s, jb.mode, mk(jb.pe), golden, cfg)
-			mu.Lock()
-			results[jb] = out{r, attempts, err}
-			mu.Unlock()
-		}(jb)
-	}
-	wg.Wait()
+	// The points fan out over the shared worker budget, like every other
+	// sweep; each result lands in its job's slot, so the rows below are
+	// assembled in the same order at any worker count.
+	results := make([]out, len(jobs))
+	parallel.ForEach(len(jobs), 0, func(i int) {
+		jb := jobs[i]
+		r, attempts, err := runVerified(s, jb.mode, mk(jb.pe), golden, cfg)
+		results[i] = out{r, attempts, err}
+	}, nil)
 
 	ar := &AppResult{Name: s.Name, Profile: mk(1).Profile, SeqCycles: seq.Cycles}
+	next := 0
 	for _, p := range pes {
 		row := Row{PEs: p}
 		if !cfg.SkipBase {
-			o := results[job{p, core.ModeBase}]
+			o := results[next]
+			next++
 			if o.err != nil {
 				return nil, fmt.Errorf("%s BASE P=%d: %w", s.Name, p, o.err)
 			}
@@ -172,7 +165,8 @@ func RunApp(s *workloads.Spec, cfg Config) (*AppResult, error) {
 			row.BaseNet = o.res.Net
 			row.BaseAttempts = o.attempts
 		}
-		o := results[job{p, core.ModeCCDP}]
+		o := results[next]
+		next++
 		if o.err != nil {
 			return nil, fmt.Errorf("%s CCDP P=%d: %w", s.Name, p, o.err)
 		}

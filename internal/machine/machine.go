@@ -157,13 +157,6 @@ type Params struct {
 	// being charged and the noc per-hop/per-word costs take over).
 	Topology noc.Config
 
-	// PDESNoRollback is the fuzz campaign's sabotage switch for the
-	// optimistic speculation parallel torus epochs run under: mispredicted speculative results are kept instead of
-	// rolled back, so per-PE timing silently diverges from the canonical
-	// booking order and the divergence referee must flag it. Never set
-	// outside sabotage tests.
-	PDESNoRollback bool
-
 	// --- Machine profile & coherence domains ---
 
 	// Profile is the registry name this Params was built from (see

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/craft"
 	"repro/internal/ir"
@@ -41,27 +40,14 @@ func Layout(p *ir.Program, lineWords int64) int64 {
 	return align(next)
 }
 
-// Memory is the simulated shared memory of one run.
-//
-// Words and generations are stored atomically: within a parallel epoch the
-// program-level reads and writes of different PEs are disjoint (the epoch
-// model), but the SIMULATED hardware reads whole cache lines, and a line
-// fill at a distribution boundary may touch words a neighbouring PE is
-// concurrently writing. Those fill-read values are never consumed — the
-// compiler-directed invalidation drops such lines before any PE reads the
-// foreign words — but the accesses themselves must be race-free.
+// Memory is the simulated shared memory of one run. It is not safe for
+// concurrent use: the execution engine runs every PE of an epoch on one
+// goroutine.
 type Memory struct {
 	prog  *ir.Program
 	numPE int
 	words []uint64 // float64 bits
 	gen   []uint32
-
-	// serial, when true, lets Read/Write/Gen use plain (non-atomic) loads
-	// and stores: the engine sets it whenever exactly one goroutine touches
-	// the memory — serial epochs, 1-PE runs, and the deterministic
-	// sequential orders (race detection, torus booking). The stored values
-	// are identical either way; only the synchronization cost differs.
-	serial bool
 
 	// spans[i] is the address range and owner divisor of arrays[i], sorted
 	// by base for address→array lookup. Both are fixed at New, so OwnerOf is
@@ -95,8 +81,7 @@ func New(p *ir.Program, numPE int, totalWords int64) *Memory {
 }
 
 // Reset zeroes every word and generation, returning the memory to its
-// just-built state without reallocating (engine reuse across runs). Must
-// be called from a single-goroutine section, like SetSerial.
+// just-built state without reallocating (engine reuse across runs).
 func (m *Memory) Reset() {
 	for i := range m.words {
 		m.words[i] = 0
@@ -109,13 +94,11 @@ func (m *Memory) Reset() {
 // Clone returns a memory with its own copy of the word and generation
 // state, sharing the immutable layout (program, array table). The execution
 // engine detaches a finished run's memory from the engine before the engine
-// is reused, so the returned Result stays valid. The clone starts in serial
-// mode: it belongs to whoever holds the Result, not to a running machine.
+// is reused, so the returned Result stays valid.
 func (m *Memory) Clone() *Memory {
 	out := *m
 	out.words = append([]uint64(nil), m.words...)
 	out.gen = append([]uint32(nil), m.gen...)
-	out.serial = true
 	return &out
 }
 
@@ -161,66 +144,28 @@ func (m *Memory) OwnerOf(addr int64) int {
 	return int(p)
 }
 
-// SetSerial switches between plain and atomic word/generation accesses.
-// Callers must only enable it while a single goroutine accesses the memory;
-// the engine toggles it at the parallel-epoch boundaries. It must itself be
-// called from a single-goroutine section.
-func (m *Memory) SetSerial(serial bool) { m.serial = serial }
-
 // Read returns the value and generation of the word at addr.
 func (m *Memory) Read(addr int64) (float64, uint32) {
-	if m.serial {
-		return math.Float64frombits(m.words[addr]), m.gen[addr]
-	}
-	return math.Float64frombits(atomic.LoadUint64(&m.words[addr])), atomic.LoadUint32(&m.gen[addr])
+	return math.Float64frombits(m.words[addr]), m.gen[addr]
 }
 
 // Value returns just the value at addr.
 func (m *Memory) Value(addr int64) float64 {
-	if m.serial {
-		return math.Float64frombits(m.words[addr])
-	}
-	return math.Float64frombits(atomic.LoadUint64(&m.words[addr]))
+	return math.Float64frombits(m.words[addr])
 }
 
 // Gen returns the current generation of addr.
 func (m *Memory) Gen(addr int64) uint32 {
-	if m.serial {
-		return m.gen[addr]
-	}
-	return atomic.LoadUint32(&m.gen[addr])
-}
-
-// PeekBits returns the raw stored bits and generation of the word at addr —
-// the exact round-trippable representation the optimistic PDES undo log
-// (internal/exec) captures before a speculative write. Float64bits survives
-// NaN payloads that a float64-level copy could normalize.
-func (m *Memory) PeekBits(addr int64) (bits uint64, gen uint32) {
-	if m.serial {
-		return m.words[addr], m.gen[addr]
-	}
-	return atomic.LoadUint64(&m.words[addr]), atomic.LoadUint32(&m.gen[addr])
-}
-
-// RestoreBits reinstates a word and generation captured by PeekBits (the
-// rollback path). Must only be called from a single-goroutine section; the
-// engine rolls PEs back during the serial validation phase.
-func (m *Memory) RestoreBits(addr int64, bits uint64, gen uint32) {
-	m.words[addr] = bits
-	m.gen[addr] = gen
+	return m.gen[addr]
 }
 
 // Write stores v at addr and bumps its generation. Within a parallel epoch
 // only one PE writes a given address (the epoch execution model); the
 // engine's race detector verifies this in tests.
 func (m *Memory) Write(addr int64, v float64) uint32 {
-	if m.serial {
-		m.words[addr] = math.Float64bits(v)
-		m.gen[addr]++
-		return m.gen[addr]
-	}
-	atomic.StoreUint64(&m.words[addr], math.Float64bits(v))
-	return atomic.AddUint32(&m.gen[addr], 1)
+	m.words[addr] = math.Float64bits(v)
+	m.gen[addr]++
+	return m.gen[addr]
 }
 
 // ArrayData returns a snapshot of one array's contents (for golden-value
@@ -234,7 +179,7 @@ func (m *Memory) ArrayData(a *ir.Array) []float64 {
 	}
 	out := make([]float64, a.Size())
 	for i := range out {
-		out[i] = math.Float64frombits(atomic.LoadUint64(&m.words[a.Base+int64(i)]))
+		out[i] = math.Float64frombits(m.words[a.Base+int64(i)])
 	}
 	return out
 }

@@ -13,13 +13,10 @@
 // the link's idle gaps). Per-link occupancy, queueing waits and hop
 // distances are recorded for the observability reports.
 //
-// Determinism: the Network itself is NOT safe for concurrent use. Callers
-// book from a single goroutine in canonical PE order: serial epochs,
-// race-detection runs, the sequential reference path, and the validation
-// phase of optimistic epochs (pdes_opt.go), whose PEs speculate
-// concurrently on private predictor networks and then replay their traffic
-// onto the real one in that order — cycle counts are bit-identical either
-// way. The zero-value Config (KindFlat) means "no modeled network":
+// Determinism: the Network is NOT safe for concurrent use. The execution
+// engine books from a single goroutine in canonical PE-major order (PE p's
+// whole epoch before PE p+1's), so cycle counts are a pure function of the
+// program and the machine. The zero-value Config (KindFlat) means "no modeled network":
 // callers keep the machine model's constant remote latencies and never
 // construct a Network at all.
 package noc
@@ -219,9 +216,8 @@ type Network struct {
 	// allocation).
 	scratch []int32
 	// names caches the rendered per-link names ("PE7+x"); built on first
-	// LinkName call so the many predictor networks of an optimistic run,
-	// which never report, pay nothing. Keeping fmt off the Run path also
-	// makes steady-state allocation counts deterministic (fmt's internal
+	// LinkName call. Keeping fmt off the Run path makes steady-state
+	// allocation counts deterministic (fmt's internal
 	// sync.Pool refills after a GC showed up as ±1 allocs/op drift in the
 	// benchmarks).
 	names []string
@@ -376,21 +372,6 @@ func (n *Network) Route(src, dst int) []int32 {
 	}
 	n.scratch = route
 	return route
-}
-
-// Transport is the engine-facing interface of the interconnect: the calls
-// a PE needs to charge its remote traffic. Implemented by *Network (the
-// canonical single-goroutine booking order) and by *SpecRecorder (one PE's
-// private predictor during a speculative epoch, whose results validation
-// then checks against the Network's; pdes_opt.go).
-type Transport interface {
-	// Send transmits one fire-and-forget message (see Network.Send).
-	Send(src, dst int, payload, depart, hotExtra int64) (arrive, wait int64)
-	// RoundTrip models a blocking remote-read transfer (see
-	// Network.RoundTrip).
-	RoundTrip(src, dst int, replyWords, depart, hot int64) (arrive, wait int64)
-	// DropWaitCycles is the congestion-timeout bound for prefetch messages.
-	DropWaitCycles() int64
 }
 
 // Send transmits one message of payload words from src to dst, departing

@@ -258,3 +258,30 @@ func TestRoundTripDistance(t *testing.T) {
 		t.Fatalf("far round trip = %d, want %d", far, want)
 	}
 }
+
+// Reset must return the network to its just-built state: replaying the
+// same traffic must reproduce identical results and summary.
+func TestNetworkReset(t *testing.T) {
+	run := func(n *Network) ([][2]int64, *Summary) {
+		rng := rand.New(rand.NewSource(3))
+		var out [][2]int64
+		now := int64(0)
+		for i := 0; i < 300; i++ {
+			src, dst := rng.Intn(8), rng.Intn(8)
+			now += int64(rng.Intn(10))
+			a, w := n.RoundTrip(src, dst, int64(1+rng.Intn(16)), now, 0)
+			out = append(out, [2]int64{a, w})
+		}
+		return out, n.Summary(100000)
+	}
+	n := mustNew(t, Config{Kind: KindTorus}, 8)
+	r1, s1 := run(n)
+	n.Reset()
+	r2, s2 := run(n)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("per-transaction results differ after Reset")
+	}
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("summary differs after Reset:\n%+v\n%+v", s1, s2)
+	}
+}

@@ -6,11 +6,11 @@ import (
 )
 
 // The process-wide worker budget. Every component that fans work out over
-// goroutines — the sweep drivers' ForEach, the engine's flat parallel
-// epochs, and the sweep service's job workers — draws extra-worker tokens
-// from one shared pool sized by GOMAXPROCS, so nested parallelism (an
-// engine's per-PE fan-out inside a `-jobs N` sweep worker, or a sweep
-// worker inside a service job) degrades to fewer workers instead of
+// goroutines — the sweep drivers' ForEach (including the harness's per-app
+// point fan-out) and the sweep service's job workers — draws extra-worker
+// tokens from one shared pool sized by GOMAXPROCS, so nested parallelism
+// (a harness fan-out inside a `-jobs N` sweep worker, or a sweep worker
+// inside a service job) degrades to fewer workers instead of
 // oversubscribing the machine. The caller's own goroutine is never
 // counted: a grant of zero extra workers means "run inline", which is
 // always correct because every budgeted fan-out is output-equivalent at
@@ -19,9 +19,8 @@ import (
 // Tokens are returned incrementally: a ForEach worker gives its token back
 // the moment it runs out of items, not when the whole ForEach finishes, so
 // a nested or concurrent fan-out can pick the token up while the slowest
-// items of the outer call are still running. The engine's speculative
-// torus epochs do not draw tokens — they wake one parked goroutine per PE
-// and the Go scheduler multiplexes them onto whatever threads are free.
+// items of the outer call are still running. The execution engine itself
+// never draws tokens: it runs each simulation on its caller's goroutine.
 var (
 	budgetMu   sync.Mutex
 	budgetCond = sync.NewCond(&budgetMu)

@@ -18,7 +18,7 @@ import (
 // construction. ForEach returns once every item is done and emitted.
 //
 // Workers beyond the first are drawn from the shared process-wide budget
-// (budget.go): when engines or other sweeps already occupy the machine,
+// (budget.go): when other sweeps already occupy the machine,
 // ForEach runs with fewer workers — down to fully inline — with
 // byte-identical output either way.
 func ForEach(n, jobs int, f func(i int), emit func(i int)) {
@@ -64,9 +64,9 @@ func ForEach(n, jobs int, f func(i int), emit func(i int)) {
 			defer wg.Done()
 			// Each worker returns its own budget token the moment it runs
 			// out of items — not when the whole ForEach finishes — so a
-			// nested fan-out (a sweep worker's own ForEach, the engine's
-			// flat epochs) or a concurrent sweep can reuse the token while
-			// the slowest items here are still running.
+			// nested fan-out (a sweep worker's own ForEach) or a concurrent
+			// sweep can reuse the token while the slowest items here are
+			// still running.
 			defer ReleaseWorkers(1)
 			for i := range next {
 				f(i)

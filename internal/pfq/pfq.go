@@ -90,14 +90,6 @@ func (q *Queue) Take(addr int64) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Entries exposes the occupied slots, oldest first, for in-place repair.
-// The optimistic PDES validation phase (internal/exec) rewrites entries'
-// Val/Gen with their canonical memory contents; it can treat every entry as
-// issued in the current epoch because the engine flushes the queue at each
-// epoch barrier. The slice aliases the queue's storage and is valid until
-// the next Issue, Take or Flush.
-func (q *Queue) Entries() []Entry { return q.entries }
-
 // Flush discards all entries (epoch boundary) and returns how many words
 // were fetched but never used.
 func (q *Queue) Flush() int64 {
@@ -105,25 +97,4 @@ func (q *Queue) Flush() int64 {
 	q.Flushed += n
 	q.entries = q.entries[:0]
 	return n
-}
-
-// Snapshot is a saved queue state for the optimistic PDES rollback path
-// (internal/exec): the engine snapshots every PE's queue at speculative
-// epoch entry and restores the ones that mis-speculate. The buffer is
-// reused across epochs, so steady-state saves allocate nothing.
-type Snapshot struct {
-	entries                            []Entry
-	issued, dropped, consumed, flushed int64
-}
-
-// Save records the queue's occupied slots and counters into s.
-func (q *Queue) Save(s *Snapshot) {
-	s.entries = append(s.entries[:0], q.entries...)
-	s.issued, s.dropped, s.consumed, s.flushed = q.Issued, q.Dropped, q.Consumed, q.Flushed
-}
-
-// Restore returns the queue to the state Save recorded.
-func (q *Queue) Restore(s *Snapshot) {
-	q.entries = append(q.entries[:0], s.entries...)
-	q.Issued, q.Dropped, q.Consumed, q.Flushed = s.issued, s.dropped, s.consumed, s.flushed
 }

@@ -133,13 +133,10 @@ func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int
 }
 
 // GetOverNet is GetWithFaults routed over an interconnect model: tr is
-// a *noc.Network (single-goroutine canonical booking) or one of the
-// engine's speculative transports (a PE's private *noc.SpecRecorder, or
-// the re-execution memo), whose results validation holds to the
-// Network's. With a nil
-// transport it reproduces the flat model bit-identically: the blocking
-// cost is ShmemStartupCost + len(addrs)·ShmemPerWordCost regardless of
-// where the data lives. Over a torus, the surviving lines are grouped by
+// the torus network the transfer books on. With a nil network it
+// reproduces the flat model bit-identically: the blocking cost is
+// ShmemStartupCost + len(addrs)·ShmemPerWordCost regardless of where the
+// data lives. Over a torus, the surviving lines are grouped by
 // their home PE and each home sends one pipelined reply message to src;
 // the gathers proceed in parallel, so the blocking cost is the startup
 // plus the slowest home's arrival (queueing included), plus the per-word
@@ -148,7 +145,7 @@ func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int
 //
 // sc may be nil (a private Scratch is allocated); the returned DropSet is
 // valid until the next Get on the same Scratch.
-func GetOverNet(m *mem.Memory, c *cache.Cache, mp *machine.Params, tr noc.Transport, src int, addrs []int64, now int64, f *Faults, sc *Scratch) (int64, *DropSet) {
+func GetOverNet(m *mem.Memory, c *cache.Cache, mp *machine.Params, tr *noc.Network, src int, addrs []int64, now int64, f *Faults, sc *Scratch) (int64, *DropSet) {
 	if len(addrs) == 0 {
 		return 0, NoDrops
 	}

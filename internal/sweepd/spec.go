@@ -55,8 +55,9 @@ type JobSpec struct {
 	DomainSize int `json:"domain_size,omitempty"`
 	// Topology is the interconnect: "flat", "torus", or "XxYxZ" ("" = flat).
 	Topology string `json:"topology,omitempty"`
-	// PDES names the torus parallel-execution scheme: "" or "optimistic",
-	// the only one. The retired "conservative" and "adaptive" schemes are
+	// PDES names a torus parallel-execution scheme: "" or "optimistic" is
+	// accepted for compatibility and selects nothing (the engine is
+	// serial). The retired "conservative" and "adaptive" schemes are
 	// rejected as removed. It never changes results, so it is validated but
 	// stays out of the memo key.
 	PDES string `json:"pdes,omitempty"`
