@@ -63,39 +63,43 @@ func TestRunIndependentOfGOMAXPROCS(t *testing.T) {
 		topo noc.Config
 	}{{"torus", torus}, {"flat", noc.Config{}}}
 	for _, tp := range topos {
-		for _, tc := range cases {
-			mp := machine.T3D(tc.pes)
-			mp.Topology = tp.topo
-			c, err := core.Compile(tc.spec.Prog, tc.mode, mp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range tc.variants {
-				t.Run(tp.name+"/"+tc.name+"/"+v.name, func(t *testing.T) {
-					runtime.GOMAXPROCS(1)
-					want, err := exec.Run(c, v.opts)
-					runtime.GOMAXPROCS(4)
+		t.Run(tp.name, func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					mp := machine.T3D(tc.pes)
+					mp.Topology = tp.topo
+					c, err := core.Compile(tc.spec.Prog, tc.mode, mp)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if tc.mode == core.ModeIncoherent && want.Stats.OracleViolations == 0 {
-						t.Fatal("reference run reports no oracle violations; the test is vacuous")
-					}
-					if (tp.topo.Kind == noc.KindFlat) != (want.Net == nil) {
-						t.Fatalf("network summary %v does not match the %s topology", want.Net, tp.name)
-					}
-					for i := 0; i < runs; i++ {
-						got, err := exec.Run(c, v.opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if d := diffResults(tc.spec, got, want); d != "" {
-							t.Fatalf("run %d at GOMAXPROCS 4 diverges from GOMAXPROCS 1: %s", i, d)
-						}
+					for _, v := range tc.variants {
+						t.Run(v.name, func(t *testing.T) {
+							runtime.GOMAXPROCS(1)
+							want, err := exec.Run(c, v.opts)
+							runtime.GOMAXPROCS(4)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if tc.mode == core.ModeIncoherent && want.Stats.OracleViolations == 0 {
+								t.Fatal("reference run reports no oracle violations; the test is vacuous")
+							}
+							if (tp.topo.Kind == noc.KindFlat) != (want.Net == nil) {
+								t.Fatalf("network summary %v does not match the %s topology", want.Net, tp.name)
+							}
+							for i := 0; i < runs; i++ {
+								got, err := exec.Run(c, v.opts)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if d := diffResults(tc.spec, got, want); d != "" {
+									t.Fatalf("run %d at GOMAXPROCS 4 diverges from GOMAXPROCS 1: %s", i, d)
+								}
+							}
+						})
 					}
 				})
 			}
-		}
+		})
 	}
 }
 
