@@ -3,53 +3,36 @@ package main
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/parallel"
 	"repro/internal/workloads"
 )
 
 // runAblation executes the design-choice experiments DESIGN.md indexes.
-func runAblation(w io.Writer, name string, peCounts []int, jobs int) error {
+func runAblation(w io.Writer, name string, base harness.Config, jobs int) error {
 	switch name {
 	case "vpg":
-		return ablateVPG(w, peCounts, jobs)
+		return ablateVPG(w, base, jobs)
 	case "mbp":
-		return ablateMBP(w, peCounts, jobs)
+		return ablateMBP(w, base, jobs)
 	case "nonstale":
-		return ablateNonStale(w, peCounts, jobs)
+		return ablateNonStale(w, base, jobs)
 	default:
 		return fmt.Errorf("unknown ablation %q (want vpg, mbp or nonstale)", name)
 	}
 }
 
-// runConfigs executes one application under several harness configurations
-// concurrently and returns the results in configuration order.
-func runConfigs(s *workloads.Spec, cfgs []harness.Config, jobs int) ([]*harness.AppResult, error) {
-	results := make([]*harness.AppResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	parallel.ForEach(len(cfgs), jobs,
-		func(i int) { results[i], errs[i] = harness.RunApp(s, cfgs[i]) },
-		nil)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
 // ablateVPG compares full CCDP scheduling against a scheduler with vector
 // prefetches disabled (VectorMaxWords=0 forces SP/MBP) on MXM — the paper's
 // §4.3 claim that vector prefetches amortize initiation costs.
-func ablateVPG(w io.Writer, peCounts []int, jobs int) error {
-	s := workloads.MXM(256, 128, 64)
-	rs, err := runConfigs(s, []harness.Config{
-		{PECounts: peCounts},
-		{PECounts: peCounts, Tune: func(mp *machine.Params) { mp.VectorMaxWords = 0 }},
-	}, jobs)
+func ablateVPG(w io.Writer, base harness.Config, jobs int) error {
+	rs, err := runPoints(workloads.MXM(256, 128, 64), base, []sweepPoint{
+		{label: "full"},
+		{label: "no-VPG", tune: func(mp *machine.Params) { mp.VectorMaxWords = 0 }},
+	}, jobs, nil)
 	if err != nil {
 		return err
 	}
@@ -67,44 +50,29 @@ func ablateVPG(w io.Writer, peCounts []int, jobs int) error {
 // ablateMBP sweeps the moving-back minimum-distance parameter on SWIM —
 // the paper's §4.3.2 tunable ("the range of values for this parameter
 // indicates the suitable distance to move back the prefetches").
-func ablateMBP(w io.Writer, peCounts []int, jobs int) error {
-	s := workloads.SWIM(513, 3)
+func ablateMBP(w io.Writer, base harness.Config, jobs int) error {
 	fmt.Fprintln(w, "Ablation B: moving-back minimum useful distance on SWIM")
 	fmt.Fprintf(w, "%12s", "min-dist")
-	for _, p := range peCounts {
+	for _, p := range base.PECounts {
 		fmt.Fprintf(w, " %12s", fmt.Sprintf("P=%d", p))
 	}
 	fmt.Fprintln(w)
 
-	minDists := []int64{10, 40, 200, 1000}
-	results := make([]*harness.AppResult, len(minDists))
-	errs := make([]error, len(minDists))
-	var firstErr error
-	parallel.ForEach(len(minDists), jobs,
-		func(i int) {
-			minDist := minDists[i]
-			results[i], errs[i] = harness.RunApp(s, harness.Config{
-				PECounts: peCounts,
-				Tune:     func(mp *machine.Params) { mp.MinMoveBackCycles = minDist },
-			})
-		},
-		func(i int) {
-			if errs[i] != nil {
-				if firstErr == nil {
-					firstErr = errs[i]
-				}
-				return
-			}
-			if firstErr != nil {
-				return
-			}
-			fmt.Fprintf(w, "%12d", minDists[i])
-			for _, r := range results[i].Rows {
-				fmt.Fprintf(w, " %12d", r.CCDPCycles)
-			}
-			fmt.Fprintln(w)
+	var points []sweepPoint
+	for _, minDist := range []int64{10, 40, 200, 1000} {
+		points = append(points, sweepPoint{
+			label: strconv.FormatInt(minDist, 10),
+			tune:  func(mp *machine.Params) { mp.MinMoveBackCycles = minDist },
 		})
-	return firstErr
+	}
+	_, err := runPoints(workloads.SWIM(513, 3), base, points, jobs, func(i int, ar *harness.AppResult) {
+		fmt.Fprintf(w, "%12s", points[i].label)
+		for _, r := range ar.Rows {
+			fmt.Fprintf(w, " %12d", r.CCDPCycles)
+		}
+		fmt.Fprintln(w)
+	})
+	return err
 }
 
 // ablateNonStale runs the paper's §6 future-work extension — prefetching
@@ -116,12 +84,11 @@ func ablateMBP(w io.Writer, peCounts []int, jobs int) error {
 // coherent read, with no intervening writes. The ablation therefore uses a
 // table-lookup kernel with exactly that shape: a distributed coefficient
 // table initialized once and then read gathered/reversed every time step.
-func ablateNonStale(w io.Writer, peCounts []int, jobs int) error {
-	s := lookupKernel(4096, 12)
-	rs, err := runConfigs(s, []harness.Config{
-		{PECounts: peCounts},
-		{PECounts: peCounts, Tune: func(mp *machine.Params) { mp.PrefetchNonStale = true }},
-	}, jobs)
+func ablateNonStale(w io.Writer, base harness.Config, jobs int) error {
+	rs, err := runPoints(lookupKernel(4096, 12), base, []sweepPoint{
+		{label: "standard"},
+		{label: "+nonstale", tune: func(mp *machine.Params) { mp.PrefetchNonStale = true }},
+	}, jobs, nil)
 	if err != nil {
 		return err
 	}

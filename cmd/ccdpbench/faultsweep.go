@@ -9,9 +9,8 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/harness"
-	"repro/internal/noc"
 	"repro/internal/parallel"
-	"repro/internal/workloads"
+	"repro/internal/sweepd"
 )
 
 // runFaultSweep is the fault-injection ablation: for every application and
@@ -24,10 +23,13 @@ import (
 // column, separately from the fault-induced demotions.
 //
 // Every (app, rate, trial) point — plus each app's fault-free baseline —
-// is an independent simulation, so the whole sweep fans out over the
-// worker pool; rows are aggregated and printed in point order at emit
-// time, which keeps the output byte-identical at any -jobs setting.
-func runFaultSweep(w io.Writer, specs []*workloads.Spec, peCounts []int, topo noc.Config, kindsFlag, ratesFlag string, trials int, seed int64, jobs int) error {
+// is an independent simulation of the app's resolved sweep point with its
+// fault plan replaced, so the whole sweep fans out over the worker pool;
+// rows are aggregated and printed in point order at emit time, which
+// keeps the output byte-identical at any -jobs setting. A trial the
+// faults kill is data (it did not survive); only a failed baseline stops
+// the sweep.
+func runFaultSweep(w io.Writer, apps []*sweepd.Job, kindsFlag, ratesFlag string, trials int, seed int64, jobs int) error {
 	kinds, err := fault.ParseKinds(kindsFlag)
 	if err != nil {
 		return err
@@ -44,12 +46,12 @@ func runFaultSweep(w io.Writer, specs []*workloads.Spec, peCounts []int, topo no
 	// baseline comes first (rate == -1), so by the time a rate row is
 	// emitted its overhead denominator is already available.
 	type point struct {
-		app   int // index into specs
+		app   int // index into apps
 		rate  int // index into rates; -1 = fault-free baseline
 		trial int
 	}
 	var points []point
-	for ai := range specs {
+	for ai := range apps {
 		points = append(points, point{ai, -1, 0})
 		for ri := range rates {
 			for t := 0; t < trials; t++ {
@@ -58,53 +60,56 @@ func runFaultSweep(w io.Writer, specs []*workloads.Spec, peCounts []int, topo no
 		}
 	}
 
+	base := apps[0].Cfg
 	fmt.Fprintf(w, "Fault sweep: kinds=%s trials=%d pes=%v topology=%s (CCDP cycles at the largest PE count)\n\n",
-		fault.FormatKinds(kinds), trials, peCounts, topo)
+		fault.FormatKinds(kinds), trials, base.PECounts, base.Topology)
 	fmt.Fprintf(w, "%-8s %8s %10s %9s %12s %9s %8s %10s %9s %8s\n",
 		"app", "rate", "survived", "attempts", "ccdp_cycles", "overhead", "faults", "demotions", "cont-drop", "oracle")
 
-	results := make([]*harness.AppResult, len(points))
-	errs := make([]error, len(points))
-	baseRows := make([]harness.Row, len(specs))
+	// outcome is one point's result; err is a trial the faults killed.
+	type outcome struct {
+		ar  *harness.AppResult
+		err error
+	}
+	baseRows := make([]harness.Row, len(apps))
 
 	// Per-rate aggregate, reset at each rate's first trial. Emission is
 	// strictly ascending, so a rate's trials arrive contiguously.
-	var agg struct {
+	type aggregate struct {
 		survived, attempts                           int
 		cycles, faults, demotions, contDrops, oracle int64
 		lastErr                                      error
 	}
-	var firstErr error
-	parallel.ForEach(len(points), jobs,
-		func(i int) {
+	var agg aggregate
+	_, err = parallel.ForEach(len(points), jobs,
+		func(i int) (outcome, error) {
 			p := points[i]
-			s := specs[p.app]
-			cfg := harness.Config{PECounts: peCounts, Topology: topo}
-			if p.rate >= 0 {
-				cfg.Fault = fault.Plan{
-					Seed:  seed + int64(p.trial)*7919, // distinct stream per trial
-					Rate:  rates[p.rate],
-					Kinds: kinds,
-				}
-			}
-			results[i], errs[i] = harness.RunApp(s, cfg)
-		},
-		func(i int) {
-			if firstErr != nil {
-				return
-			}
-			p := points[i]
-			s := specs[p.app]
+			s, cfg := apps[p.app].Spec, apps[p.app].Cfg
 			if p.rate < 0 {
 				// Fault-free baseline for the overhead column (same
-				// topology: the overhead must isolate the faults, not the
-				// interconnect model).
-				fmt.Fprintf(os.Stderr, "sweeping %s...\n", s.Name)
-				if errs[i] != nil {
-					firstErr = fmt.Errorf("%s baseline: %w", s.Name, errs[i])
-					return
+				// machine and topology: the overhead must isolate the
+				// faults, not the interconnect model).
+				cfg.Fault = fault.Plan{}
+				ar, err := harness.RunApp(s, cfg)
+				if err != nil {
+					return outcome{}, fmt.Errorf("%s baseline: %w", s.Name, err)
 				}
-				baseRow := results[i].Rows[len(results[i].Rows)-1]
+				return outcome{ar: ar}, nil
+			}
+			cfg.Fault = fault.Plan{
+				Seed:  seed + int64(p.trial)*7919, // distinct stream per trial
+				Rate:  rates[p.rate],
+				Kinds: kinds,
+			}
+			ar, err := harness.RunApp(s, cfg)
+			return outcome{ar, err}, nil
+		},
+		func(i int, o outcome) {
+			p := points[i]
+			s := apps[p.app].Spec
+			if p.rate < 0 {
+				fmt.Fprintf(os.Stderr, "sweeping %s...\n", s.Name)
+				baseRow := o.ar.Rows[len(o.ar.Rows)-1]
 				baseRows[p.app] = baseRow
 				fmt.Fprintf(w, "%-8s %8g %10s %9s %12d %9s %8d %10d %9d %8d\n",
 					s.Name, 0.0, fmt.Sprintf("%d/%d", trials, trials), "1.0",
@@ -114,17 +119,13 @@ func runFaultSweep(w io.Writer, specs []*workloads.Spec, peCounts []int, topo no
 			}
 
 			if p.trial == 0 {
-				agg = struct {
-					survived, attempts                           int
-					cycles, faults, demotions, contDrops, oracle int64
-					lastErr                                      error
-				}{}
+				agg = aggregate{}
 			}
-			if errs[i] != nil {
-				agg.lastErr = errs[i]
+			if o.err != nil {
+				agg.lastErr = o.err
 			} else {
 				agg.survived++
-				row := results[i].Rows[len(results[i].Rows)-1]
+				row := o.ar.Rows[len(o.ar.Rows)-1]
 				agg.attempts += row.CCDPAttempts
 				agg.cycles += row.CCDPCycles
 				agg.faults += row.CCDPStats.FaultsInjected() + row.BaseStats.FaultsInjected()
@@ -152,7 +153,7 @@ func runFaultSweep(w io.Writer, specs []*workloads.Spec, peCounts []int, topo no
 				fmt.Fprintln(w) // blank line between applications
 			}
 		})
-	return firstErr
+	return err
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/noc"
+	"repro/internal/sweepd"
 	"repro/internal/workloads"
 )
 
@@ -22,11 +22,11 @@ func TestSweepTableByteIdenticalAcrossJobs(t *testing.T) {
 		{label: "remote=122", tune: func(mp *machine.Params) { mp.RemoteReadCost = 122 }},
 		{label: "remote=244", tune: func(mp *machine.Params) { mp.RemoteReadCost = 244 }},
 	}
-	peCounts := []int{1, 2, 4}
+	base := harness.Config{PECounts: []int{1, 2, 4}}
 
 	render := func(jobs int) string {
 		var buf bytes.Buffer
-		if err := sweepTable(&buf, app, points, peCounts, jobs); err != nil {
+		if err := sweepTable(&buf, app, base, points, jobs); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		return buf.String()
@@ -38,12 +38,15 @@ func TestSweepTableByteIdenticalAcrossJobs(t *testing.T) {
 }
 
 func TestFaultSweepByteIdenticalAcrossJobs(t *testing.T) {
-	specs := []*workloads.Spec{workloads.MXM(24, 12, 8), workloads.VPENTA(16, 6)}
-	peCounts := []int{1, 4}
+	cfg := harness.Config{PECounts: []int{1, 4}}
+	apps := []*sweepd.Job{
+		{Spec: workloads.MXM(24, 12, 8), Cfg: cfg},
+		{Spec: workloads.VPENTA(16, 6), Cfg: cfg},
+	}
 
 	render := func(jobs int) string {
 		var buf bytes.Buffer
-		err := runFaultSweep(&buf, specs, peCounts, noc.Config{}, "drop,late", "0.01,0.05", 2, 1, jobs)
+		err := runFaultSweep(&buf, apps, "drop,late", "0.01,0.05", 2, 1, jobs)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -52,36 +55,5 @@ func TestFaultSweepByteIdenticalAcrossJobs(t *testing.T) {
 	ref := render(1)
 	if got := render(8); got != ref {
 		t.Errorf("runFaultSweep output differs between -jobs 1 and -jobs 8:\n--- jobs=1 ---\n%s--- jobs=8 ---\n%s", ref, got)
-	}
-}
-
-func TestRunConfigsOrderedAcrossJobs(t *testing.T) {
-	// The ablations fan configurations out with runConfigs; results must
-	// come back in configuration order at any jobs setting.
-	app := workloads.MXM(24, 12, 8)
-	cfgs := []harness.Config{
-		{PECounts: []int{1, 4}},
-		{PECounts: []int{1, 4}, Tune: func(mp *machine.Params) { mp.VectorMaxWords = 0 }},
-		{PECounts: []int{1, 4}, Tune: func(mp *machine.Params) { mp.RemoteReadCost = 200 }},
-	}
-	render := func(jobs int) []int64 {
-		rs, err := runConfigs(app, cfgs, jobs)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		var cycles []int64
-		for _, ar := range rs {
-			for _, r := range ar.Rows {
-				cycles = append(cycles, r.CCDPCycles)
-			}
-		}
-		return cycles
-	}
-	ref := render(1)
-	got := render(8)
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("runConfigs cycle %d differs between jobs=1 (%d) and jobs=8 (%d)", i, ref[i], got[i])
-		}
 	}
 }

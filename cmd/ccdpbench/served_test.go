@@ -1,13 +1,9 @@
 package main
 
 import (
-	"bytes"
-	"io"
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/driver"
-	"repro/internal/harness"
 	"repro/internal/sweepd"
 )
 
@@ -22,45 +18,26 @@ func TestServedStdoutByteIdenticalToInProcess(t *testing.T) {
 		srv.Close()
 	}()
 
-	apps := "MXM,VPENTA"
-	peCounts := []int{1, 2, 4}
-	specs, err := driver.Apps(apps, "small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	js := make([]sweepd.JobSpec, len(specs))
-	for i, s := range specs {
-		js[i] = sweepd.JobSpec{App: s.Name, Scale: "small", PEs: peCounts}
-	}
-	client := &sweepd.Client{Base: hs.URL}
-
 	for _, mode := range []struct {
 		name  string
-		csv   bool
-		table string
+		flags []string
 	}{
-		{"csv", true, ""},
-		{"tables", false, "all"},
+		{"csv", []string{"-csv"}},
+		{"tables", []string{"-table", "all"}},
+		{"details", []string{"-details"}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			var local bytes.Buffer
-			results, err := runApps(io.Discard, specs,
-				harness.Config{PECounts: peCounts}, 1, false)
+			args := append([]string{"-apps", "MXM,VPENTA", "-scale", "small", "-pes", "1,2,4", "-jobs", "1"}, mode.flags...)
+			local, err := runCLI(t, args...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			renderResults(&local, results, mode.csv, mode.table)
-
-			var served bytes.Buffer
-			got, err := runServed(io.Discard, client, js, false)
+			served, err := runCLI(t, append(args, "-server", hs.URL)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			renderResults(&served, got, mode.csv, mode.table)
-
-			if local.String() != served.String() {
-				t.Errorf("served stdout differs from in-process:\n--- local ---\n%s--- served ---\n%s",
-					local.String(), served.String())
+			if local != served {
+				t.Errorf("served stdout differs from in-process:\n--- local ---\n%s--- served ---\n%s", local, served)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ type sweepPoint struct {
 // architectural parameter — the "detailed simulation studies ... and the
 // interaction of the compiler implementation with various important
 // architectural parameters" the paper's §6 plans as future work.
-func runSweep(w io.Writer, name string, peCounts []int, jobs int) error {
+func runSweep(w io.Writer, name string, base harness.Config, jobs int) error {
 	var points []sweepPoint
 	var app *workloads.Spec
 	switch name {
@@ -29,9 +29,8 @@ func runSweep(w io.Writer, name string, peCounts []int, jobs int) error {
 		app = workloads.TOMCATV(257, 3)
 		// Sweep around the canonical T3D remote latency (⅓× to 4×) so the
 		// midpoint always matches the t3d machine profile.
-		base := machine.MustProfileParams("t3d", 1).RemoteReadCost
-		for _, lat := range []int64{base / 3, 2 * base / 3, base, 2 * base, 4 * base} {
-			lat := lat
+		t3d := machine.MustProfileParams("t3d", 1).RemoteReadCost
+		for _, lat := range []int64{t3d / 3, 2 * t3d / 3, t3d, 2 * t3d, 4 * t3d} {
 			points = append(points, sweepPoint{
 				label: fmt.Sprintf("remote=%d", lat),
 				tune:  func(mp *machine.Params) { mp.RemoteReadCost = lat },
@@ -40,7 +39,6 @@ func runSweep(w io.Writer, name string, peCounts []int, jobs int) error {
 	case "cache":
 		app = workloads.SWIM(257, 3)
 		for _, words := range []int64{256, 512, 1024, 4096, 16384} {
-			words := words
 			points = append(points, sweepPoint{
 				label: fmt.Sprintf("cache=%dKB", words*8/1024),
 				tune: func(mp *machine.Params) {
@@ -54,7 +52,6 @@ func runSweep(w io.Writer, name string, peCounts []int, jobs int) error {
 	case "queue":
 		app = workloads.TOMCATV(257, 3)
 		for _, depth := range []int{1, 4, 16, 64, 256} {
-			depth := depth
 			points = append(points, sweepPoint{
 				label: fmt.Sprintf("queue=%d", depth),
 				tune: func(mp *machine.Params) {
@@ -66,7 +63,6 @@ func runSweep(w io.Writer, name string, peCounts []int, jobs int) error {
 	case "line":
 		app = workloads.SWIM(257, 3)
 		for _, lw := range []int64{2, 4, 8, 16} {
-			lw := lw
 			points = append(points, sweepPoint{
 				label: fmt.Sprintf("line=%dB", lw*8),
 				tune:  func(mp *machine.Params) { mp.LineWords = lw },
@@ -77,40 +73,40 @@ func runSweep(w io.Writer, name string, peCounts []int, jobs int) error {
 	}
 
 	fmt.Fprintf(w, "Architectural sweep %q on %s\n", name, app.Name)
-	return sweepTable(w, app, points, peCounts, jobs)
+	return sweepTable(w, app, base, points, jobs)
+}
+
+// runPoints runs app at every point — the base configuration with the
+// point's machine-parameter perturbation — on the worker pool, handing
+// each result to emit (when non-nil) in point order. It is the executor
+// of every architectural sweep and ablation.
+func runPoints(app *workloads.Spec, base harness.Config, points []sweepPoint, jobs int,
+	emit func(i int, ar *harness.AppResult)) ([]*harness.AppResult, error) {
+	return parallel.ForEach(len(points), jobs, func(i int) (*harness.AppResult, error) {
+		cfg := base
+		cfg.Tune = points[i].tune
+		ar, err := harness.RunApp(app, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", points[i].label, err)
+		}
+		return ar, nil
+	}, emit)
 }
 
 // sweepTable runs every sweep point on the worker pool and prints the
 // improvement table, rows in point order.
-func sweepTable(w io.Writer, app *workloads.Spec, points []sweepPoint, peCounts []int, jobs int) error {
+func sweepTable(w io.Writer, app *workloads.Spec, base harness.Config, points []sweepPoint, jobs int) error {
 	fmt.Fprintf(w, "%14s", "")
-	for _, p := range peCounts {
+	for _, p := range base.PECounts {
 		fmt.Fprintf(w, " %14s", fmt.Sprintf("P=%d improv", p))
 	}
 	fmt.Fprintln(w)
-
-	results := make([]*harness.AppResult, len(points))
-	errs := make([]error, len(points))
-	var firstErr error
-	parallel.ForEach(len(points), jobs,
-		func(i int) {
-			results[i], errs[i] = harness.RunApp(app, harness.Config{PECounts: peCounts, Tune: points[i].tune})
-		},
-		func(i int) {
-			if errs[i] != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", points[i].label, errs[i])
-				}
-				return
-			}
-			if firstErr != nil {
-				return // keep the table's prefix clean once a point failed
-			}
-			fmt.Fprintf(w, "%14s", points[i].label)
-			for _, r := range results[i].Rows {
-				fmt.Fprintf(w, " %13.2f%%", r.Improvement)
-			}
-			fmt.Fprintln(w)
-		})
-	return firstErr
+	_, err := runPoints(app, base, points, jobs, func(i int, ar *harness.AppResult) {
+		fmt.Fprintf(w, "%14s", points[i].label)
+		for _, r := range ar.Rows {
+			fmt.Fprintf(w, " %13.2f%%", r.Improvement)
+		}
+		fmt.Fprintln(w)
+	})
+	return err
 }

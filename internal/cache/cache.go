@@ -95,9 +95,6 @@ func (c *Cache) Reset() {
 // LineWords returns the line size in words.
 func (c *Cache) LineWords() int64 { return c.lineWords }
 
-// NumLines returns the number of lines.
-func (c *Cache) NumLines() int64 { return c.numLines }
-
 // lineAddr returns the line-aligned address containing addr.
 func (c *Cache) lineAddr(addr int64) int64 { return addr - addr%c.lineWords }
 

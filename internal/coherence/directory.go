@@ -157,9 +157,8 @@ func ceilLog2(n int64) int64 {
 
 // --- presence-bit helpers ---------------------------------------------------
 
-func setBit(w []uint64, pe int)      { w[pe>>6] |= 1 << (pe & 63) }
-func clearBit(w []uint64, pe int)    { w[pe>>6] &^= 1 << (pe & 63) }
-func hasBit(w []uint64, pe int) bool { return w[pe>>6]&(1<<(pe&63)) != 0 }
+func setBit(w []uint64, pe int)   { w[pe>>6] |= 1 << (pe & 63) }
+func clearBit(w []uint64, pe int) { w[pe>>6] &^= 1 << (pe & 63) }
 
 func popcount(w []uint64) int {
 	n := 0

@@ -35,36 +35,23 @@ func Fatal(tool string, err error) {
 	osExit(1)
 }
 
-// Pool returns the workload set for one problem scale.
-func Pool(scale string) ([]*workloads.Spec, error) {
+// App builds one workload by name (case-insensitive) at the given scale;
+// only that workload is built. An unknown name is an error that lists the
+// valid applications.
+func App(name, scale string) (*workloads.Spec, error) {
+	var small bool
 	switch strings.ToLower(strings.TrimSpace(scale)) {
 	case "small":
-		return workloads.Small(), nil
+		small = true
 	case "paper":
-		return workloads.Paper(), nil
 	default:
 		return nil, fmt.Errorf("unknown scale %q: valid scales are small, paper", scale)
 	}
-}
-
-// App looks up one workload by name (case-insensitive) at the given scale.
-// An unknown name is an error that lists the valid applications.
-func App(name, scale string) (*workloads.Spec, error) {
-	pool, err := Pool(scale)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range pool {
-		if strings.EqualFold(s.Name, strings.TrimSpace(name)) {
-			return s, nil
-		}
-	}
-	names := make([]string, len(pool))
-	for i, s := range pool {
-		names[i] = s.Name
+	if s := workloads.Build(strings.TrimSpace(name), small); s != nil {
+		return s, nil
 	}
 	return nil, fmt.Errorf("unknown application %q: valid applications are %s",
-		name, strings.Join(names, ", "))
+		name, strings.Join(workloads.Names(), ", "))
 }
 
 // Apps resolves a comma-separated application list at the given scale.
@@ -205,11 +192,6 @@ func RegisterTopology(fs *flag.FlagSet) *TopologyFlag {
 		"interconnect model: flat, torus (auto dims) or XxYxZ")}
 }
 
-// Config parses the flag into an interconnect configuration.
-func (t *TopologyFlag) Config() (noc.Config, error) {
-	return noc.Parse(*t.s)
-}
-
 // String returns the raw flag value, for forwarding to the sweep service
 // (the server re-parses it through the same noc.Parse).
 func (t *TopologyFlag) String() string { return *t.s }
@@ -238,14 +220,8 @@ func checkPDES(pdes string) error {
 // an error return (the service's HTTP 400), never an exit.
 func SweepConfig(profile string, domainSize int, topology, pdes string,
 	faultRate float64, faultKinds string, faultSeed int64) (harness.Config, error) {
-	topo, err := noc.Parse(topology)
+	mp, err := Machine(profile, 1, domainSize, topology, pdes)
 	if err != nil {
-		return harness.Config{}, err
-	}
-	if err := checkPDES(pdes); err != nil {
-		return harness.Config{}, err
-	}
-	if _, err := machine.ProfileParams(profile, 1); err != nil {
 		return harness.Config{}, err
 	}
 	if domainSize < 0 {
@@ -258,7 +234,7 @@ func SweepConfig(profile string, domainSize int, topology, pdes string,
 	return harness.Config{
 		Profile:    profile,
 		DomainSize: domainSize,
-		Topology:   topo,
+		Topology:   mp.Topology,
 		Fault:      plan,
 	}, nil
 }

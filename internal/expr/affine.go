@@ -14,7 +14,6 @@ package expr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -318,10 +317,4 @@ func Sum(xs ...Affine) Affine {
 		acc = acc.Add(x)
 	}
 	return acc
-}
-
-// SortTerms sorts a user-supplied term slice by variable name; exported for
-// test helpers that construct expectations directly.
-func SortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Var < ts[j].Var })
 }

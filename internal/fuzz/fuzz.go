@@ -190,14 +190,14 @@ func Run(cfg Config) (*Summary, error) {
 			finding *Finding
 			runs    int
 		}
-		res := make([]out, n)
-		parallel.ForEach(n, cfg.Jobs, func(i int) {
+		// A finding is data, not an error: every seed of the batch runs.
+		res, _ := parallel.ForEach(n, cfg.Jobs, func(i int) (out, error) {
 			seed := sum.NextSeed + int64(i)
 			f, runs := CheckSeed(seed, cfg.Gen, cfg.Matrix, cfg.Mutation)
 			if f != nil && cfg.Shrink {
 				shrinkFinding(f)
 			}
-			res[i] = out{finding: f, runs: runs}
+			return out{finding: f, runs: runs}, nil
 		}, nil)
 		stop := false
 		for i := range res {

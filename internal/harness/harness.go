@@ -72,7 +72,8 @@ type Config struct {
 	DomainSize int
 	// Tune lets ablations modify the machine parameters per run.
 	Tune func(*machine.Params)
-	// Modes restricts which parallel modes run (default BASE and CCDP).
+	// SkipBase drops the BASE runs: the sweep runs the sequential golden
+	// and CCDP only.
 	SkipBase bool
 	// Fault configures seeded fault injection for the parallel runs. The
 	// sequential golden run is never faulted — it defines correctness.
@@ -95,6 +96,34 @@ type Config struct {
 	Compile func(s *workloads.Spec, mode core.Mode, mp machine.Params) (*core.Compiled, error)
 }
 
+// params builds the machine for one run of the sweep at p PEs: the
+// profile at that size with the config's domain size, topology and tuning
+// applied.
+func (cfg *Config) params(p int) machine.Params {
+	mp := machine.MustProfileParams(cfg.Profile, p)
+	if cfg.DomainSize > 0 {
+		mp.DomainSize = cfg.DomainSize
+	}
+	mp.Topology = cfg.Topology
+	if cfg.Tune != nil {
+		cfg.Tune(&mp)
+	}
+	return mp
+}
+
+// golden runs the sequential baseline every parallel run is verified
+// against.
+func (cfg *Config) golden(s *workloads.Spec) (*exec.Result, map[string][]float64, error) {
+	if _, err := machine.ProfileParams(cfg.Profile, 1); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	seq, err := runOne(s, core.ModeSeq, cfg.params(1), fault.Plan{}, cfg.Compile)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s SEQ: %w", s.Name, err)
+	}
+	return seq, snapshot(s, seq), nil
+}
+
 // RunApp sweeps one application. Every parallel run's check arrays are
 // verified bit-for-bit against the sequential run.
 func RunApp(s *workloads.Spec, cfg Config) (*AppResult, error) {
@@ -102,74 +131,55 @@ func RunApp(s *workloads.Spec, cfg Config) (*AppResult, error) {
 	if len(pes) == 0 {
 		pes = PaperPEs
 	}
-	if _, err := machine.ProfileParams(cfg.Profile, 1); err != nil {
-		return nil, fmt.Errorf("%s: %w", s.Name, err)
-	}
-	mk := func(p int) machine.Params {
-		mp := machine.MustProfileParams(cfg.Profile, p)
-		if cfg.DomainSize > 0 {
-			mp.DomainSize = cfg.DomainSize
-		}
-		mp.Topology = cfg.Topology
-		if cfg.Tune != nil {
-			cfg.Tune(&mp)
-		}
-		return mp
-	}
-
-	seq, err := runOne(s, core.ModeSeq, mk(1), fault.Plan{}, cfg.Compile)
+	seq, golden, err := cfg.golden(s)
 	if err != nil {
-		return nil, fmt.Errorf("%s SEQ: %w", s.Name, err)
+		return nil, err
 	}
-	golden := snapshot(s, seq)
 
-	type job struct {
+	type point struct {
 		pe   int
 		mode core.Mode
 	}
 	type out struct {
 		res      *exec.Result
 		attempts int
-		err      error
 	}
-	jobs := []job{}
+	var points []point
 	for _, p := range pes {
 		if !cfg.SkipBase {
-			jobs = append(jobs, job{p, core.ModeBase})
+			points = append(points, point{p, core.ModeBase})
 		}
-		jobs = append(jobs, job{p, core.ModeCCDP})
+		points = append(points, point{p, core.ModeCCDP})
 	}
 	// The points fan out over the shared worker budget, like every other
-	// sweep; each result lands in its job's slot, so the rows below are
-	// assembled in the same order at any worker count.
-	results := make([]out, len(jobs))
-	parallel.ForEach(len(jobs), 0, func(i int) {
-		jb := jobs[i]
-		r, attempts, err := runVerified(s, jb.mode, mk(jb.pe), golden, cfg)
-		results[i] = out{r, attempts, err}
+	// sweep; the results come back in point order at any worker count, and
+	// the first failing point (in that order) is the error.
+	results, err := parallel.ForEach(len(points), 0, func(i int) (out, error) {
+		pt := points[i]
+		r, attempts, err := runVerified(s, pt.mode, cfg.params(pt.pe), golden, &cfg)
+		if err != nil {
+			return out{}, fmt.Errorf("%s %s P=%d: %w", s.Name, pt.mode, pt.pe, err)
+		}
+		return out{r, attempts}, nil
 	}, nil)
+	if err != nil {
+		return nil, err
+	}
 
-	ar := &AppResult{Name: s.Name, Profile: mk(1).Profile, SeqCycles: seq.Cycles}
-	next := 0
+	ar := &AppResult{Name: s.Name, Profile: cfg.params(1).Profile, SeqCycles: seq.Cycles}
 	for _, p := range pes {
 		row := Row{PEs: p}
 		if !cfg.SkipBase {
-			o := results[next]
-			next++
-			if o.err != nil {
-				return nil, fmt.Errorf("%s BASE P=%d: %w", s.Name, p, o.err)
-			}
+			o := results[0]
+			results = results[1:]
 			row.BaseCycles = o.res.Cycles
 			row.BaseSpeedup = float64(seq.Cycles) / float64(o.res.Cycles)
 			row.BaseStats = o.res.Stats
 			row.BaseNet = o.res.Net
 			row.BaseAttempts = o.attempts
 		}
-		o := results[next]
-		next++
-		if o.err != nil {
-			return nil, fmt.Errorf("%s CCDP P=%d: %w", s.Name, p, o.err)
-		}
+		o := results[0]
+		results = results[1:]
 		row.CCDPCycles = o.res.Cycles
 		row.CCDPSpeedup = float64(seq.Cycles) / float64(o.res.Cycles)
 		row.CCDPStats = o.res.Stats
@@ -205,7 +215,7 @@ func runOne(s *workloads.Spec, mode core.Mode, mp machine.Params, plan fault.Pla
 // arrays. Under fault injection a failed run is retried with a reseeded
 // fault plan and cold caches, up to the configured budget; the returned
 // error after exhaustion names the fault that killed the first attempt.
-func runVerified(s *workloads.Spec, mode core.Mode, mp machine.Params, golden map[string][]float64, cfg Config) (*exec.Result, int, error) {
+func runVerified(s *workloads.Spec, mode core.Mode, mp machine.Params, golden map[string][]float64, cfg *Config) (*exec.Result, int, error) {
 	retries := 0
 	if cfg.Fault.Enabled() {
 		retries = cfg.FaultRetries
@@ -264,32 +274,7 @@ func verify(golden map[string][]float64, r *exec.Result) error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // --- Coherence arena ---------------------------------------------------------
-
-// ArenaConfig tunes one coherence-arena run.
-type ArenaConfig struct {
-	// PEs is the machine size (default 8).
-	PEs int
-	// Profile names a machine profile from the machine registry
-	// ("" = "t3d").
-	Profile string
-	// Topology selects the interconnect for the parallel runs (the
-	// sequential golden run always runs flat).
-	Topology noc.Config
-	// HWPrefetcher names a runtime prefetcher from the
-	// internal/coherence/prefetch registry, paired with the hardware modes
-	// only ("" = none).
-	HWPrefetcher string
-	// Tune lets ablations modify the machine parameters per run.
-	Tune func(*machine.Params)
-}
 
 // ArenaEntry is one mode's verified arena run.
 type ArenaEntry struct {
@@ -326,36 +311,27 @@ func ArenaModes() []core.Mode {
 	return out
 }
 
-// RunArena runs one workload through the coherence arena.
-func RunArena(s *workloads.Spec, cfg ArenaConfig) (*ArenaResult, error) {
-	pes := cfg.PEs
+// RunArena runs one workload through the coherence arena: every arena mode
+// on the config's machine at pes PEs (default 8), with the runtime
+// prefetcher hwPrefetcher (a name from the internal/coherence/prefetch
+// registry, "" = none) paired with the hardware modes only. The config's
+// PE counts and SkipBase are ignored; the modes run one after another.
+func RunArena(s *workloads.Spec, cfg Config, pes int, hwPrefetcher string) (*ArenaResult, error) {
 	if pes <= 0 {
 		pes = 8
 	}
-	if _, err := machine.ProfileParams(cfg.Profile, 1); err != nil {
-		return nil, fmt.Errorf("%s: %w", s.Name, err)
-	}
-	mk := func(mode core.Mode) machine.Params {
-		mp := machine.MustProfileParams(cfg.Profile, pes)
-		mp.Topology = cfg.Topology
-		if mode.IsHW() {
-			mp.HWPrefetcher = cfg.HWPrefetcher
-		}
-		if cfg.Tune != nil {
-			cfg.Tune(&mp)
-		}
-		return mp
-	}
-
-	seq, err := runOne(s, core.ModeSeq, machine.MustProfileParams(cfg.Profile, 1), fault.Plan{}, nil)
+	seq, golden, err := cfg.golden(s)
 	if err != nil {
-		return nil, fmt.Errorf("%s SEQ: %w", s.Name, err)
+		return nil, err
 	}
-	golden := snapshot(s, seq)
 
 	ar := &ArenaResult{Name: s.Name, PEs: pes, SeqCycles: seq.Cycles}
 	for _, mode := range ArenaModes() {
-		r, _, err := runVerified(s, mode, mk(mode), golden, Config{})
+		mp := cfg.params(pes)
+		if mode.IsHW() {
+			mp.HWPrefetcher = hwPrefetcher
+		}
+		r, _, err := runVerified(s, mode, mp, golden, &cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s P=%d: %w", s.Name, mode, pes, err)
 		}

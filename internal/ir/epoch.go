@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"fmt"
-
-	"repro/internal/expr"
-)
+import "fmt"
 
 // The paper's execution model (§3.1) partitions a program into a sequence
 // of epochs: a parallel epoch is one DOALL loop whose iterations form
@@ -282,46 +278,6 @@ func (g *EpochGraph) ForEachEpochInstance(fn func(EpochInstance) error) error {
 	return run(g.items)
 }
 
-// EpochOfStmt returns the epoch node whose statements (recursively) contain
-// the given statement, or nil. Used by diagnostics.
-func (g *EpochGraph) EpochOfStmt(target Stmt) *EpochNode {
-	for _, n := range g.Nodes {
-		var body []Stmt
-		if n.Parallel {
-			body = []Stmt{n.Loop}
-		} else {
-			body = n.Stmts
-		}
-		found := false
-		WalkStmts(body, func(s Stmt) bool {
-			if s == target {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return n
-		}
-		// Serial epochs may contain calls to serial routines.
-		for _, s := range body {
-			if c, ok := s.(*Call); ok {
-				if rt := g.Prog.Routine(c.Name); rt != nil {
-					WalkStmts(rt.Body, func(s Stmt) bool {
-						if s == target {
-							found = true
-						}
-						return !found
-					})
-				}
-			}
-		}
-		if found {
-			return n
-		}
-	}
-	return nil
-}
-
 // TripCount returns the compile-time trip count of a loop when its bounds
 // are constant after parameter substitution; ok is false otherwise.
 func TripCount(p *Program, l *Loop) (int64, bool) {
@@ -339,13 +295,4 @@ func TripCount(p *Program, l *Loop) (int64, bool) {
 		return 0, true
 	}
 	return (hi-lo)/step + 1, true
-}
-
-// Iterations is a convenience wrapper returning the affine trip-count
-// expression (hi-lo+step)/step only when step is 1: (hi - lo + 1).
-func Iterations(l *Loop) (expr.Affine, bool) {
-	if l.Step.ConstPart() != 1 {
-		return expr.Affine{}, false
-	}
-	return l.Hi.Sub(l.Lo).AddConst(1), true
 }

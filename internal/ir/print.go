@@ -38,13 +38,6 @@ func Format(p *Program) string {
 	return b.String()
 }
 
-// FormatStmts renders a statement list (exported for phase dumps).
-func FormatStmts(body []Stmt) string {
-	var b strings.Builder
-	formatStmts(&b, body, 0)
-	return b.String()
-}
-
 func formatStmts(b *strings.Builder, body []Stmt, depth int) {
 	ind := strings.Repeat("  ", depth)
 	for _, s := range body {

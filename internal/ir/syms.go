@@ -118,9 +118,3 @@ func (t *SymTable) VarIndex(name string) int {
 	}
 	return -1
 }
-
-// ScalarName returns the name interned at slot i.
-func (t *SymTable) ScalarName(i int) string { return t.scalars[i] }
-
-// VarName returns the name interned at slot i.
-func (t *SymTable) VarName(i int) string { return t.vars[i] }

@@ -95,19 +95,6 @@ func ContainsParallelLoop(prog *Program, body []Stmt) bool {
 	return found
 }
 
-// CollectLoops returns every loop in body (recursively, not following
-// calls) in pre-order.
-func CollectLoops(body []Stmt) []*Loop {
-	var out []*Loop
-	WalkStmts(body, func(s Stmt) bool {
-		if l, ok := s.(*Loop); ok {
-			out = append(out, l)
-		}
-		return true
-	})
-	return out
-}
-
 // LoopIsInner reports whether l contains no nested loops, following calls
 // through prog: a loop that calls a routine containing loops is not inner.
 func LoopIsInner(prog *Program, l *Loop) bool {

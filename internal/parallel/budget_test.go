@@ -25,13 +25,13 @@ func TestNestedForEachSharesBudget(t *testing.T) {
 	var mu sync.Mutex
 	got := make(map[int][]int, outer)
 	emitted := make([]int, 0, outer)
-	ForEach(outer, outer,
-		func(i int) {
+	if _, err := ForEach(outer, outer,
+		func(i int) (struct{}, error) {
 			order := make([]int, 0, inner)
 			var innerMu sync.Mutex
-			ForEach(inner, inner,
-				func(j int) { _ = j * j },
-				func(j int) {
+			_, err := ForEach(inner, inner,
+				func(j int) (int, error) { return j * j, nil },
+				func(j, _ int) {
 					innerMu.Lock()
 					order = append(order, j)
 					innerMu.Unlock()
@@ -39,8 +39,11 @@ func TestNestedForEachSharesBudget(t *testing.T) {
 			mu.Lock()
 			got[i] = order
 			mu.Unlock()
+			return struct{}{}, err
 		},
-		func(i int) { emitted = append(emitted, i) })
+		func(i int, _ struct{}) { emitted = append(emitted, i) }); err != nil {
+		t.Fatal(err)
+	}
 
 	for i := 0; i < outer; i++ {
 		if emitted[i] != i {
@@ -74,9 +77,9 @@ func TestForEachReleasesWorkersIncrementally(t *testing.T) {
 	release := make(chan struct{})
 	var sawDrop bool
 	ForEach(2, 2,
-		func(i int) {
+		func(i int) (struct{}, error) {
 			if i == 1 {
-				return // finishes immediately; its worker exits and releases
+				return struct{}{}, nil // finishes immediately; its worker exits and releases
 			}
 			// Item 0: wait (bounded) for the sibling worker's token to come
 			// back while this worker still holds its own.
@@ -85,12 +88,12 @@ func TestForEachReleasesWorkersIncrementally(t *testing.T) {
 				if busy() < 2 {
 					sawDrop = true
 					close(release)
-					return
+					return struct{}{}, nil
 				}
 				select {
 				case <-deadline:
 					close(release)
-					return
+					return struct{}{}, nil
 				case <-time.After(time.Millisecond):
 				}
 			}

@@ -9,21 +9,26 @@ import (
 	"sync"
 )
 
-// ForEach runs f(i) for every i in [0,n) using up to jobs workers, then
-// calls emit(i) for every i in strictly ascending order. emit runs on a
-// single goroutine and item i is emitted as soon as items 0..i have all
-// finished, so output streams while later items still compute. jobs <= 0
-// means runtime.GOMAXPROCS(0). With one job everything runs inline on the
-// caller's goroutine — the two paths are output-equivalent by
-// construction. ForEach returns once every item is done and emitted.
+// ForEach runs f(i) for every i in [0,n) using up to jobs workers and
+// returns the values indexed like the items. emit(i, v), when non-nil, is called in
+// strictly ascending order on the caller's goroutine: item i is emitted as
+// soon as items 0..i have all finished, so output streams while later
+// items still compute. jobs <= 0 means runtime.GOMAXPROCS(0).
+//
+// The first failure ends the call: ForEach emits exactly the items below
+// the lowest failed index, returns that item's error (and nil values), and
+// starts no further items. With one job everything runs inline on the
+// caller's goroutine — no channel, no extra goroutine — and the two paths
+// are output-equivalent by construction. ForEach returns only after every
+// started item has finished.
 //
 // Workers beyond the first are drawn from the shared process-wide budget
-// (budget.go): when other sweeps already occupy the machine,
-// ForEach runs with fewer workers — down to fully inline — with
-// byte-identical output either way.
-func ForEach(n, jobs int, f func(i int), emit func(i int)) {
+// (budget.go): when other sweeps already occupy the machine, ForEach runs
+// with fewer workers — down to fully inline — with identical results
+// either way.
+func ForEach[T any](n, jobs int, f func(i int) (T, error), emit func(i int, v T)) ([]T, error) {
 	if n <= 0 {
-		return
+		return nil, nil
 	}
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -31,34 +36,41 @@ func ForEach(n, jobs int, f func(i int), emit func(i int)) {
 	if jobs > n {
 		jobs = n
 	}
-	inline := func() {
-		for i := 0; i < n; i++ {
-			f(i)
-			if emit != nil {
-				emit(i)
-			}
+	out := make([]T, n)
+	if jobs > 1 {
+		granted := AcquireWorkers(jobs)
+		if granted > 1 {
+			return pool(out, granted, f, emit)
 		}
-	}
-	if jobs == 1 {
-		inline()
-		return
-	}
-	granted := AcquireWorkers(jobs)
-	if granted <= 1 {
 		// One worker plus the emitter is no better than inline; give the
 		// token back and stay on the caller's goroutine.
 		ReleaseWorkers(granted)
-		inline()
-		return
 	}
-	jobs = granted
+	for i := range out {
+		v, err := f(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+		if emit != nil {
+			emit(i, v)
+		}
+	}
+	return out, nil
+}
 
+// pool is ForEach's concurrent path over workers budget tokens, which it
+// owns and returns.
+func pool[T any](out []T, workers int, f func(i int) (T, error), emit func(i int, v T)) ([]T, error) {
+	n := len(out)
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
 	done := make([]bool, n)
+	errs := make([]error, n)
+	failed := false
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -69,32 +81,48 @@ func ForEach(n, jobs int, f func(i int), emit func(i int)) {
 			// still running.
 			defer ReleaseWorkers(1)
 			for i := range next {
-				f(i)
+				v, err := f(i)
 				mu.Lock()
-				done[i] = true
+				out[i], errs[i], done[i] = v, err, true
+				failed = failed || err != nil
 				cond.Broadcast()
 				mu.Unlock()
 			}
 		}()
 	}
+	// Items are handed out in ascending order and none after a failure,
+	// so every item below the lowest failed index has been started and
+	// finishes: the error ForEach returns is the same at any worker count.
 	go func() {
+		defer close(next)
 		for i := 0; i < n; i++ {
+			mu.Lock()
+			stop := failed
+			mu.Unlock()
+			if stop {
+				return
+			}
 			next <- i
 		}
-		close(next)
 	}()
 
 	// The caller's goroutine is the single emitter: wait for each item in
 	// order, so the output prefix is always complete.
-	for i := 0; i < n; i++ {
+	var err error
+	for i := 0; i < n && err == nil; i++ {
 		mu.Lock()
 		for !done[i] {
 			cond.Wait()
 		}
+		err = errs[i]
 		mu.Unlock()
-		if emit != nil {
-			emit(i)
+		if err == nil && emit != nil {
+			emit(i, out[i])
 		}
 	}
 	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -69,8 +69,8 @@ type funcPass struct {
 	fn   func(*Context) error
 }
 
-func (p funcPass) Name() string            { return p.name }
-func (p funcPass) Run(ctx *Context) error  { return p.fn(ctx) }
+func (p funcPass) Name() string           { return p.name }
+func (p funcPass) Run(ctx *Context) error { return p.fn(ctx) }
 
 // Func adapts a function to a named Pass.
 func Func(name string, fn func(*Context) error) Pass { return funcPass{name: name, fn: fn} }

@@ -59,9 +59,6 @@ func (q *Queue) Reset() {
 	q.Issued, q.Dropped, q.Consumed, q.Flushed = 0, 0, 0, 0
 }
 
-// Cap returns the queue capacity.
-func (q *Queue) Cap() int { return q.cap }
-
 // Len returns the number of occupied slots.
 func (q *Queue) Len() int { return len(q.entries) }
 

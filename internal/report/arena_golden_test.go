@@ -61,7 +61,7 @@ func TestArenaGoldenCSV(t *testing.T) {
 	}
 	var results []*harness.ArenaResult
 	for _, s := range workloads.Small() {
-		ar, err := harness.RunArena(s, harness.ArenaConfig{PEs: 8, Topology: topo})
+		ar, err := harness.RunArena(s, harness.Config{Topology: topo}, 8, "")
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

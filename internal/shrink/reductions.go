@@ -78,7 +78,7 @@ func Reductions(p *ir.Program) []*ir.Program {
 				out = append(out, shiftOffset(p, ri, d, -c))
 			}
 			if c > 1 || c < -1 {
-				out = append(out, shiftOffset(p, ri, d, -(c - c/2)))
+				out = append(out, shiftOffset(p, ri, d, -(c-c/2)))
 			}
 		}
 	}

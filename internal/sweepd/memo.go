@@ -21,16 +21,6 @@ type Entry struct {
 	elem *list.Element // LRU position; nil while in flight
 }
 
-// Ready reports whether the entry has completed (non-blocking).
-func (e *Entry) Ready() bool {
-	select {
-	case <-e.Done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Memo is the content-addressed result store: an LRU-bounded map from job
 // key to finished result bytes, with single-flight semantics for
 // concurrent requests of the same key — the second requester waits for the
@@ -136,11 +126,11 @@ func (m *Memo) Forget(e *Entry, err error) {
 
 // MemoStats is the memo's observability snapshot.
 type MemoStats struct {
-	Entries   int   `json:"entries"`
-	MaxEntries int  `json:"max_entries"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Entries    int   `json:"entries"`
+	MaxEntries int   `json:"max_entries"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
 }
 
 // Stats snapshots the counters.

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/parallel"
 )
 
@@ -48,8 +47,9 @@ type Options struct {
 	// Workers is the job worker count (≤ 0 = GOMAXPROCS). Worker 0 runs
 	// unbudgeted — the progress guarantee — and every additional worker
 	// blocks for a token from the process-wide internal/parallel budget
-	// before each job, so a busy server and the flat parallel epochs of
-	// its own engines share one CPU budget instead of oversubscribing.
+	// before each job, so a busy server and the per-point fan-out of the
+	// harness sweeps it runs share one CPU budget instead of
+	// oversubscribing.
 	Workers int
 	// Peers are base URLs of further sweepd worker processes; large
 	// requests shard across [self, peers...] round-robin.
@@ -136,13 +136,11 @@ func (s *Server) worker(i int) {
 	}
 }
 
-// runTask executes one job through the harness — with the shared compile
-// cache injected — and completes its memo entry. The marshaled result
-// bytes stored here are what every future hit of this key serves.
+// runTask executes one job — with the shared compile cache injected — and
+// completes its memo entry. The marshaled result bytes stored here are
+// what every future hit of this key serves.
 func (s *Server) runTask(t *task) {
-	cfg := t.job.Cfg
-	cfg.Compile = s.compile.CompileFor(t.job.App, t.job.Scale)
-	ar, err := harness.RunApp(t.job.Spec, cfg)
+	ar, err := t.job.Run(s.compile.CompileFor(t.job.App, t.job.Scale))
 	var data []byte
 	if err == nil {
 		data, err = json.Marshal(ar)

@@ -26,18 +26,20 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
 
-// JobSpec is one sweep point as submitted over the wire: an application
-// swept across PE counts under one machine configuration — exactly the
-// unit ccdpbench's in-process path hands to harness.RunApp. The zero value
-// of every optional field means the same thing the corresponding CLI
-// flag's default does, so a spec built from flags and a spec built from a
-// sparse JSON document resolve identically.
+// JobSpec is one sweep point: an application swept across PE counts under
+// one machine configuration. ccdpbench builds its points as JobSpecs from
+// its flags and the server receives them over the wire; both resolve them
+// with Resolve and run them with Job.Run. The zero value of every optional
+// field means the same thing the corresponding CLI flag's default does, so
+// a spec built from flags and a spec built from a sparse JSON document
+// resolve identically.
 type JobSpec struct {
 	// App names the workload (case-insensitive; the workload registry's
 	// name set). Required.
@@ -133,6 +135,17 @@ func (js *JobSpec) Resolve() (*Job, error) {
 	j.canonical = string(appendCanonical(nil, spec.Name, scale, &cfg))
 	j.Key = sha256.Sum256([]byte(j.canonical))
 	return j, nil
+}
+
+// Run sweeps the job's application under its configuration — the one
+// function that executes a sweep point, in ccdpbench's in-process path and
+// in the server alike. compile, when non-nil, overrides how configurations
+// are lowered (the server's shared compile cache; see
+// harness.Config.Compile).
+func (j *Job) Run(compile func(*workloads.Spec, core.Mode, machine.Params) (*core.Compiled, error)) (*harness.AppResult, error) {
+	cfg := j.Cfg
+	cfg.Compile = compile
+	return harness.RunApp(j.Spec, cfg)
 }
 
 // appendCanonical appends the byte-stable canonical encoding of a resolved

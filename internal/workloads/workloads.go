@@ -13,6 +13,8 @@
 package workloads
 
 import (
+	"strings"
+
 	"repro/internal/ir"
 )
 
@@ -30,6 +32,18 @@ type Spec struct {
 	Description string
 }
 
+// apps lists the applications in table order, each with its paper-scale
+// and small builders; Paper, Small and Build all derive from it.
+var apps = []struct {
+	name         string
+	paper, small func() *Spec
+}{
+	{"MXM", func() *Spec { return MXM(256, 128, 64) }, func() *Spec { return MXM(32, 16, 8) }},
+	{"VPENTA", func() *Spec { return VPENTA(128, 4) }, func() *Spec { return VPENTA(32, 2) }},
+	{"TOMCATV", func() *Spec { return TOMCATV(257, 5) }, func() *Spec { return TOMCATV(33, 2) }},
+	{"SWIM", func() *Spec { return SWIM(513, 5) }, func() *Spec { return SWIM(33, 2) }},
+}
+
 // Paper returns the four applications at (scaled) paper sizes. The array
 // shapes match the paper (MXM 256×128×64, VPENTA 128², TOMCATV 257²,
 // SWIM 513²); iteration counts are scaled down from the paper's 100 to
@@ -37,29 +51,41 @@ type Spec struct {
 // ratios, and per-iteration behaviour is identical from the second time
 // step on (EXPERIMENTS.md quantifies this).
 func Paper() []*Spec {
-	return []*Spec{
-		MXM(256, 128, 64),
-		VPENTA(128, 4),
-		TOMCATV(257, 5),
-		SWIM(513, 5),
+	out := make([]*Spec, len(apps))
+	for i, a := range apps {
+		out[i] = a.paper()
 	}
+	return out
 }
 
 // Small returns reduced instances for tests.
 func Small() []*Spec {
-	return []*Spec{
-		MXM(32, 16, 8),
-		VPENTA(32, 2),
-		TOMCATV(33, 2),
-		SWIM(33, 2),
+	out := make([]*Spec, len(apps))
+	for i, a := range apps {
+		out[i] = a.small()
 	}
+	return out
 }
 
-// ByName builds one workload at paper scale by name, or nil.
-func ByName(name string) *Spec {
-	for _, s := range Paper() {
-		if s.Name == name {
-			return s
+// Names returns the application names in table order.
+func Names() []string {
+	out := make([]string, len(apps))
+	for i, a := range apps {
+		out[i] = a.name
+	}
+	return out
+}
+
+// Build builds one application by name (case-insensitive) at paper scale,
+// or at the small test scale when small is set; nil for an unknown name.
+// Only the named application is built.
+func Build(name string, small bool) *Spec {
+	for _, a := range apps {
+		if strings.EqualFold(a.name, name) {
+			if small {
+				return a.small()
+			}
+			return a.paper()
 		}
 	}
 	return nil

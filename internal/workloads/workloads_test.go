@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -228,5 +229,25 @@ func TestNonStalePrefetchExtension(t *testing.T) {
 	if ext.Stats.RemoteReads > std.Stats.RemoteReads {
 		t.Errorf("extension increased residual remote reads: %d vs %d",
 			ext.Stats.RemoteReads, std.Stats.RemoteReads)
+	}
+}
+
+// Build must agree with the pools it replaces lookups into: every name
+// builds, at either scale, the same program Paper and Small build.
+func TestBuildMatchesPools(t *testing.T) {
+	for i, name := range Names() {
+		for _, small := range []bool{false, true} {
+			s := Build(strings.ToLower(name), small)
+			want := Paper()[i]
+			if small {
+				want = Small()[i]
+			}
+			if s == nil || s.Name != name || s.Prog.Name != want.Prog.Name {
+				t.Errorf("Build(%q, small=%v) = %v, want %s", name, small, s, want.Prog.Name)
+			}
+		}
+	}
+	if Build("FFT", true) != nil {
+		t.Error("Build accepted an unknown name")
 	}
 }
