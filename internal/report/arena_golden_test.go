@@ -84,3 +84,26 @@ func TestArenaGoldenCSV(t *testing.T) {
 	}
 	t.Fatalf("arena CSV has %d lines, golden has %d", len(gotLines), len(wantLines))
 }
+
+// arenaFlatGoldenCSV is `ccdpbench -arena -apps MXM -scale small -csv` on
+// the default flat machine. With no interconnect modeled there are no
+// network messages to count, so the net_msgs and data_msgs columns are
+// left out, as the arena table leaves them out, instead of printing a
+// data_msgs of 0 − coh_msgs.
+const arenaFlatGoldenCSV = `app,pes,mode,seq_cycles,cycles,speedup,coh_msgs,inv_sent,inv_recv,writebacks,broadcasts,dir_evictions,dir_bits,hwpref_issued,hwpref_useful
+MXM,8,BASE,74656,120640,0.6188,0,0,0,0,0,0,0,0,0
+MXM,8,CCDP,74656,14826,5.0355,0,0,0,0,0,0,0,0,0
+MXM,8,HWDIR,74656,29512,2.5297,224,0,0,0,0,0,2280,0,0
+MXM,8,HWDIR-LP,74656,29512,2.5297,224,0,0,0,0,0,1368,0,0
+MXM,8,HWDIR-SPARSE,74656,29512,2.5297,224,0,0,0,0,0,18432,0,0
+`
+
+func TestArenaFlatGoldenCSV(t *testing.T) {
+	ar, err := harness.RunArena(workloads.Build("MXM", true), harness.Config{}, 8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.ArenaCSV([]*harness.ArenaResult{ar}); got != arenaFlatGoldenCSV {
+		t.Errorf("flat arena CSV:\n%s\nwant:\n%s", got, arenaFlatGoldenCSV)
+	}
+}

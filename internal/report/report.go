@@ -154,19 +154,34 @@ func Arena(ar *harness.ArenaResult) string {
 }
 
 // ArenaCSV renders arena results in machine-readable form, one row per
-// (workload, mode).
+// (workload, mode). As in Arena, the net_msgs and data_msgs columns appear
+// only when some entry ran over a modeled interconnect: on a flat machine
+// there is no network to count, and data_msgs would go negative.
 func ArenaCSV(results []*harness.ArenaResult) string {
+	netted := false
+	for _, ar := range results {
+		for _, e := range ar.Entries {
+			netted = netted || e.Net != nil
+		}
+	}
 	var b strings.Builder
 	b.WriteString("app,pes,mode,seq_cycles,cycles,speedup,coh_msgs,inv_sent,inv_recv," +
-		"writebacks,broadcasts,dir_evictions,dir_bits,net_msgs,data_msgs,hwpref_issued,hwpref_useful\n")
+		"writebacks,broadcasts,dir_evictions,dir_bits")
+	if netted {
+		b.WriteString(",net_msgs,data_msgs")
+	}
+	b.WriteString(",hwpref_issued,hwpref_useful\n")
 	for _, ar := range results {
 		for _, e := range ar.Entries {
 			s := &e.Stats
-			fmt.Fprintf(&b, "%s,%d,%s,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(&b, "%s,%d,%s,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d",
 				ar.Name, ar.PEs, e.Mode, ar.SeqCycles, e.Cycles, e.Speedup,
 				s.CohMessages, s.CohInvSent, s.CohInvRecv, s.CohWritebacks,
-				s.CohBroadcasts, s.DirEvictions, s.DirStorageBits,
-				s.NetMessages, s.NetMessages-s.CohMessages, s.HWPrefIssued, s.HWPrefUseful)
+				s.CohBroadcasts, s.DirEvictions, s.DirStorageBits)
+			if netted {
+				fmt.Fprintf(&b, ",%d,%d", s.NetMessages, s.NetMessages-s.CohMessages)
+			}
+			fmt.Fprintf(&b, ",%d,%d\n", s.HWPrefIssued, s.HWPrefUseful)
 		}
 	}
 	return b.String()

@@ -6,8 +6,143 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/workloads"
 )
+
+// Entry is one cached (or in-flight) value. Waiters block on Done; after
+// it closes, Val holds the value the first computation produced, or Err
+// its error, immutable forever.
+type Entry[K comparable, V any] struct {
+	Key  K
+	Done chan struct{}
+	// Val and Err are written once, before Done closes; read-only
+	// afterwards.
+	Val V
+	Err error
+
+	elem *list.Element // LRU position; nil while in flight
+}
+
+// Cache is an LRU-bounded map with single-flight semantics: the first
+// requester of a key computes its value, and a concurrent second requester
+// waits for that computation instead of repeating it. The bound counts
+// completed entries only.
+type Cache[K comparable, V any] struct {
+	mu      sync.Mutex
+	max     int
+	entries map[K]*Entry[K, V]
+	lru     *list.List // completed entries, most recently used at front
+
+	hits, misses, evictions int64
+}
+
+func newCache[K comparable, V any](max, def int) *Cache[K, V] {
+	if max <= 0 {
+		max = def
+	}
+	return &Cache[K, V]{max: max, entries: make(map[K]*Entry[K, V]), lru: list.New()}
+}
+
+// GetOrStart looks the key up. The boolean reports leadership: true means
+// the caller must compute the value and Complete or Forget the entry;
+// false means another request already did (or is doing) the work — wait
+// on Done. Both a completed hit and a ride on an in-flight entry count as
+// hits: the work is shared, not repeated.
+func (c *Cache[K, V]) GetOrStart(k K) (*Entry[K, V], bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok {
+		if e.elem != nil {
+			c.lru.MoveToFront(e.elem)
+		}
+		c.hits++
+		return e, false
+	}
+	c.misses++
+	e := &Entry[K, V]{Key: k, Done: make(chan struct{})}
+	c.entries[k] = e
+	return e, true
+}
+
+// Peek returns the completed value for k without starting anything and
+// without blocking. It refreshes the LRU position and counts a hit on
+// success.
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[k]
+	if !ok || e.elem == nil {
+		var zero V
+		return zero, false
+	}
+	c.lru.MoveToFront(e.elem)
+	c.hits++
+	return e.Val, true
+}
+
+// Complete finishes a leader's entry with its value (or error), publishes
+// it to every waiter, inserts it into the LRU order and evicts the oldest
+// completed entries beyond the bound. A completed error is cached like a
+// value.
+func (c *Cache[K, V]) Complete(e *Entry[K, V], v V, err error) {
+	c.mu.Lock()
+	e.Val, e.Err = v, err
+	e.elem = c.lru.PushFront(e)
+	for c.lru.Len() > c.max {
+		old := c.lru.Back()
+		c.lru.Remove(old)
+		delete(c.entries, old.Value.(*Entry[K, V]).Key)
+		c.evictions++
+	}
+	c.mu.Unlock()
+	close(e.Done)
+}
+
+// Forget drops an in-flight entry whose computation did not produce a
+// value worth keeping, waking its waiters with err; the next request of
+// the key starts afresh. Completed entries are never forgotten — eviction
+// handles those.
+func (c *Cache[K, V]) Forget(e *Entry[K, V], err error) {
+	c.mu.Lock()
+	if e.elem != nil {
+		c.mu.Unlock()
+		return
+	}
+	delete(c.entries, e.Key)
+	e.Err = err
+	c.mu.Unlock()
+	close(e.Done)
+}
+
+// CacheStats is a cache's observability snapshot.
+type CacheStats struct {
+	Entries    int   `json:"entries"`
+	MaxEntries int   `json:"max_entries"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
+}
+
+// Stats snapshots the counters.
+func (c *Cache[K, V]) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Entries: c.lru.Len(), MaxEntries: c.max,
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+	}
+}
+
+// Memo is the content-addressed result store: job key → the exact NDJSON
+// result payload the first computation produced. Every later serving of
+// the key repeats those bytes, so a repeated point is served
+// byte-identically. Because the simulator is deterministic, job errors (a
+// fault plan that kills every retry, say) are memoized exactly like
+// results: the same spec would fail the same way again.
+type Memo = Cache[Key, []byte]
+
+// NewMemo builds a memo bounded to max completed entries (≤ 0 means the
+// default of 4096).
+func NewMemo(max int) *Memo { return newCache[Key, []byte](max, 4096) }
 
 // compileKey identifies one compiled program. It must carry the FULL
 // machine parameters, not just the axes the lowering inspects: the
@@ -23,111 +158,20 @@ type compileKey struct {
 	MP    machine.Params
 }
 
-// compileEntry is one compiled program, possibly still being compiled.
-// Waiters block on done; after it closes, exactly one of c/err is set and
-// both are immutable.
-type compileEntry struct {
-	key  compileKey
-	done chan struct{}
-	c    *core.Compiled
-	err  error
-	elem *list.Element // LRU position; nil while compiling
-}
-
 // CompileCache is the shared compiled-program cache: concurrent jobs that
 // agree on (workload, scale, mode, machine parameters) reuse one
 // core.Compiled — and, because the engine pool hangs off the Compiled's
 // memo, one engine pool — so a sweep pays each distinct compilation once
-// per process instead of once per request. Single-flight: a second request
-// for a program mid-compile waits for the first compile instead of
-// repeating it.
+// per process instead of once per request. A failed compile is forgotten:
+// its waiters get the error and the next request recompiles.
 //
 // Eviction only drops the cache's reference; jobs still running on an
 // evicted Compiled keep theirs, and the next request recompiles.
-type CompileCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[compileKey]*compileEntry
-	lru     *list.List // completed entries, most recently used at front
-
-	hits, misses, evictions int64
-}
+type CompileCache = Cache[compileKey, *core.Compiled]
 
 // NewCompileCache builds a cache bounded to max completed entries (≤ 0
 // means the default of 256 — comfortably above a four-app, seven-PE,
 // three-mode paper sweep's 4×7×2+4 distinct programs).
 func NewCompileCache(max int) *CompileCache {
-	if max <= 0 {
-		max = 256
-	}
-	return &CompileCache{max: max, entries: make(map[compileKey]*compileEntry), lru: list.New()}
-}
-
-// CompileFor returns a harness.Config.Compile hook bound to one workload's
-// registry coordinates. The hook's (mode, machine) arguments complete the
-// cache key at call time; the app/scale pair must be bound here because
-// the hook only ever sees the workloads.Spec, whose Name does not encode
-// the problem scale.
-func (cc *CompileCache) CompileFor(app, scale string) func(*workloads.Spec, core.Mode, machine.Params) (*core.Compiled, error) {
-	return func(s *workloads.Spec, mode core.Mode, mp machine.Params) (*core.Compiled, error) {
-		return cc.compile(compileKey{App: app, Scale: scale, Mode: mode, MP: mp}, s)
-	}
-}
-
-func (cc *CompileCache) compile(k compileKey, s *workloads.Spec) (*core.Compiled, error) {
-	cc.mu.Lock()
-	if e, ok := cc.entries[k]; ok {
-		if e.elem != nil {
-			cc.lru.MoveToFront(e.elem)
-		}
-		cc.hits++
-		cc.mu.Unlock()
-		<-e.done
-		return e.c, e.err
-	}
-	e := &compileEntry{key: k, done: make(chan struct{})}
-	cc.entries[k] = e
-	cc.misses++
-	cc.mu.Unlock()
-
-	// Compile outside the lock — core.Compile clones the source program, so
-	// concurrent compiles of different keys never contend.
-	e.c, e.err = core.Compile(s.Prog, k.Mode, k.MP)
-
-	cc.mu.Lock()
-	if e.err != nil {
-		// Failed compiles are not kept: the error still reaches every
-		// current waiter through the entry, but the next request retries.
-		delete(cc.entries, k)
-	} else {
-		e.elem = cc.lru.PushFront(e)
-		for cc.lru.Len() > cc.max {
-			old := cc.lru.Back()
-			cc.lru.Remove(old)
-			delete(cc.entries, old.Value.(*compileEntry).key)
-			cc.evictions++
-		}
-	}
-	cc.mu.Unlock()
-	close(e.done)
-	return e.c, e.err
-}
-
-// CompileStats is the compile cache's observability snapshot.
-type CompileStats struct {
-	Entries    int   `json:"entries"`
-	MaxEntries int   `json:"max_entries"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-}
-
-// Stats snapshots the counters.
-func (cc *CompileCache) Stats() CompileStats {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return CompileStats{
-		Entries: cc.lru.Len(), MaxEntries: cc.max,
-		Hits: cc.hits, Misses: cc.misses, Evictions: cc.evictions,
-	}
+	return newCache[compileKey, *core.Compiled](max, 256)
 }

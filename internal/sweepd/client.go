@@ -37,34 +37,16 @@ func (c *Client) httpc() *http.Client {
 
 // Sweep submits the specs and returns their results in request order. Any
 // row-level failure (a job the simulator rejected, an unserved shard)
-// fails the whole sweep, mirroring the in-process driver's first-error
-// exit.
+// fails the whole sweep with the first failed job's error, mirroring the
+// in-process driver's first-error exit.
 func (c *Client) Sweep(specs []JobSpec) ([]*harness.AppResult, SweepSummary, error) {
 	var sum SweepSummary
-	body, err := json.Marshal(SweepRequest{Jobs: specs, Priority: c.Priority})
+	rows, err := post(c.httpc(), c.Base, SweepRequest{Jobs: specs, Priority: c.Priority})
 	if err != nil {
-		return nil, sum, err
+		return nil, sum, fmt.Errorf("server: %w", err)
 	}
-	resp, err := c.httpc().Post(c.Base+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, sum, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var msg bytes.Buffer
-		msg.ReadFrom(resp.Body)
-		return nil, sum, fmt.Errorf("server: %s: %s", resp.Status, bytes.TrimSpace(msg.Bytes()))
-	}
-	dec := json.NewDecoder(resp.Body)
-	results := make([]*harness.AppResult, 0, len(specs))
-	for dec.More() {
-		var row SweepRow
-		if err := dec.Decode(&row); err != nil {
-			return nil, sum, fmt.Errorf("decoding response: %w", err)
-		}
-		if row.Index != sum.Rows {
-			return nil, sum, fmt.Errorf("row %d arrived out of order (expected %d)", row.Index, sum.Rows)
-		}
+	results := make([]*harness.AppResult, len(rows))
+	for i, row := range rows {
 		sum.Rows++
 		if row.Memo {
 			sum.MemoHits++
@@ -72,16 +54,47 @@ func (c *Client) Sweep(specs []JobSpec) ([]*harness.AppResult, SweepSummary, err
 		if row.Error != "" {
 			return nil, sum, fmt.Errorf("job %d: %s", row.Index, row.Error)
 		}
-		var ar harness.AppResult
-		if err := json.Unmarshal(row.Result, &ar); err != nil {
+		results[i] = new(harness.AppResult)
+		if err := json.Unmarshal(row.Result, results[i]); err != nil {
 			return nil, sum, fmt.Errorf("job %d: decoding result: %w", row.Index, err)
 		}
-		results = append(results, &ar)
-	}
-	if sum.Rows != len(specs) {
-		return nil, sum, fmt.Errorf("server returned %d rows for %d jobs", sum.Rows, len(specs))
 	}
 	return results, sum, nil
+}
+
+// post sends req to the sweep endpoint at base and reads the NDJSON
+// response: exactly one row per job, in request order.
+func post(hc *http.Client, base string, req SweepRequest) ([]SweepRow, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := hc.Post(base+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg.Bytes()))
+	}
+	dec := json.NewDecoder(resp.Body)
+	rows := make([]SweepRow, 0, len(req.Jobs))
+	for dec.More() {
+		var row SweepRow
+		if err := dec.Decode(&row); err != nil {
+			return nil, fmt.Errorf("decoding response: %w", err)
+		}
+		if row.Index != len(rows) {
+			return nil, fmt.Errorf("row %d arrived out of order (expected %d)", row.Index, len(rows))
+		}
+		rows = append(rows, row)
+	}
+	if len(rows) != len(req.Jobs) {
+		return nil, fmt.Errorf("returned %d rows for %d jobs", len(rows), len(req.Jobs))
+	}
+	return rows, nil
 }
 
 // Stats fetches the server's /v1/stats document.

@@ -9,7 +9,7 @@ import (
 // the in-flight memo entry the worker must Complete.
 type task struct {
 	job      *Job
-	entry    *Entry
+	entry    *Entry[Key, []byte]
 	priority int
 	seq      int64 // FIFO tiebreak within a priority
 }
@@ -33,7 +33,7 @@ func NewQueue() *Queue {
 }
 
 // Push enqueues a task at the given priority.
-func (q *Queue) Push(j *Job, e *Entry, priority int) {
+func (q *Queue) Push(j *Job, e *Entry[Key, []byte], priority int) {
 	q.mu.Lock()
 	q.seq++
 	heap.Push(&q.heap, &task{job: j, entry: e, priority: priority, seq: q.seq})

@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,7 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/parallel"
+	"repro/internal/workloads"
 )
 
 // SweepRequest is the body of POST /v1/sweep: a batch of sweep points at
@@ -140,7 +142,9 @@ func (s *Server) worker(i int) {
 // completes its memo entry. The marshaled result bytes stored here are
 // what every future hit of this key serves.
 func (s *Server) runTask(t *task) {
-	ar, err := t.job.Run(s.compile.CompileFor(t.job.App, t.job.Scale))
+	ar, err := t.job.Run(func(ws *workloads.Spec, mode core.Mode, mp machine.Params) (*core.Compiled, error) {
+		return s.compiled(compileKey{App: t.job.App, Scale: t.job.Scale, Mode: mode, MP: mp}, ws)
+	})
 	var data []byte
 	if err == nil {
 		data, err = json.Marshal(ar)
@@ -151,21 +155,25 @@ func (s *Server) runTask(t *task) {
 	s.memo.Complete(t.entry, data, err)
 }
 
-// enqueue runs every job through the memo: leaders are pushed onto the
-// worker queue, waiters just hold the shared entry. hits[i] reports
-// whether point i was served without enqueueing new work.
-func (s *Server) enqueue(jobs []*Job, priority int) (entries []*Entry, hits []bool) {
-	entries = make([]*Entry, len(jobs))
-	hits = make([]bool, len(jobs))
-	for i, j := range jobs {
-		e, leader := s.memo.GetOrStart(j.Key)
-		if leader {
-			s.queue.Push(j, e, priority)
-		}
-		entries[i] = e
-		hits[i] = !leader
+// compiled returns the shared compiled program for k, compiling ws on the
+// first request. The app/scale pair is part of the key because ws.Name
+// does not encode the problem scale. A failed compile is not kept: the
+// error reaches every current waiter, and the next request retries.
+func (s *Server) compiled(k compileKey, ws *workloads.Spec) (*core.Compiled, error) {
+	e, leader := s.compile.GetOrStart(k)
+	if !leader {
+		<-e.Done
+		return e.Val, e.Err
 	}
-	return entries, hits
+	// core.Compile clones the source program, so concurrent compiles of
+	// different keys never contend.
+	c, err := core.Compile(ws.Prog, k.Mode, k.MP)
+	if err != nil {
+		s.compile.Forget(e, err)
+		return nil, err
+	}
+	s.compile.Complete(e, c, nil)
+	return c, nil
 }
 
 // Handler returns the HTTP surface.
@@ -206,136 +214,111 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		jobs[i] = j
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if !req.NoForward && len(s.peers) > 0 && len(req.Jobs) > s.shardSize {
-		s.streamSharded(w, &req, jobs)
-		return
+	// Every request is served as contiguous shards in request order: one
+	// local shard when it is small, already forwarded, or there are no
+	// peers; otherwise shards of ShardSize points, round-robin over
+	// [self, peers...]. Shard k's rows are exactly the request indices
+	// [k·size, (k+1)·size), so emitting shards in order reproduces the
+	// canonical point order byte for byte. Every shard starts before the
+	// first row is written.
+	size, targets := len(jobs), []string{""} // "" = serve locally
+	if !req.NoForward && len(s.peers) > 0 && len(jobs) > s.shardSize {
+		size, targets = s.shardSize, append(targets, s.peers...)
 	}
-	entries, hits := s.enqueue(jobs, req.Priority)
+	var shards []*shard
+	for off := 0; off < len(jobs); off += size {
+		end := min(off+size, len(jobs))
+		sh := &shard{off: off, jobs: jobs[off:end]}
+		if peer := targets[len(shards)%len(targets)]; peer == "" {
+			// Leaders go onto the worker queue; every other point rides
+			// the memo entry some request already started.
+			for _, j := range sh.jobs {
+				e, leader := s.memo.GetOrStart(j.Key)
+				if leader {
+					s.queue.Push(j, e, req.Priority)
+				}
+				sh.entries, sh.hits = append(sh.entries, e), append(sh.hits, !leader)
+			}
+		} else {
+			sh.done = make(chan struct{})
+			go func() {
+				defer close(sh.done)
+				sh.rows, sh.err = s.forward(peer, req.Jobs[off:end], req.Priority, off)
+			}()
+		}
+		shards = append(shards, sh)
+	}
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	for i := range entries {
-		<-entries[i].Done
-		enc.Encode(SweepRow{
-			Index: i, Key: jobs[i].Key.String(), Memo: hits[i],
-			Result: entries[i].Data, Error: entries[i].Err,
-		})
-		if flusher != nil {
-			flusher.Flush()
+	for _, sh := range shards {
+		for i := range sh.jobs {
+			enc.Encode(sh.row(i))
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
 }
 
-// streamSharded splits the request into contiguous shards, distributes
-// them round-robin over [self, peers...], and streams the merged rows in
-// request order. Contiguity is what keeps the merge trivial and the output
-// byte-identical to a local serve: shard k's rows are exactly the request
-// indices [k·size, (k+1)·size), so emitting completed shards in shard
-// order reproduces the canonical point order.
-func (s *Server) streamSharded(w http.ResponseWriter, req *SweepRequest, jobs []*Job) {
-	type shardOut struct {
-		rows []SweepRow
-		err  error
-		done chan struct{}
-	}
-	targets := append([]string{""}, s.peers...) // "" = serve locally
-	var shards []*shardOut
-	for off := 0; off < len(jobs); off += s.shardSize {
-		end := off + s.shardSize
-		if end > len(jobs) {
-			end = len(jobs)
+// shard is one contiguous slice of a request's jobs, served either locally
+// (entries set) or by a peer (done closes once rows or err is set).
+type shard struct {
+	off     int
+	jobs    []*Job
+	entries []*Entry[Key, []byte]
+	hits    []bool
+
+	done chan struct{}
+	rows []SweepRow
+	err  error
+}
+
+// row waits for the shard's i-th job and returns its response row.
+func (sh *shard) row(i int) SweepRow {
+	if sh.done == nil {
+		e := sh.entries[i]
+		<-e.Done
+		row := SweepRow{Index: sh.off + i, Key: sh.jobs[i].Key.String(), Memo: sh.hits[i], Result: e.Val}
+		if e.Err != nil {
+			row.Error = e.Err.Error()
 		}
-		so := &shardOut{done: make(chan struct{})}
-		shards = append(shards, so)
-		target := targets[(len(shards)-1)%len(targets)]
-		go func(off, end int, target string, so *shardOut) {
-			defer close(so.done)
-			if target == "" {
-				entries, hits := s.enqueue(jobs[off:end], req.Priority)
-				for i, e := range entries {
-					<-e.Done
-					so.rows = append(so.rows, SweepRow{
-						Index: off + i, Key: jobs[off+i].Key.String(), Memo: hits[i],
-						Result: e.Data, Error: e.Err,
-					})
-				}
-				return
-			}
-			so.rows, so.err = s.forward(target, req.Jobs[off:end], req.Priority, off)
-		}(off, end, target, so)
+		return row
 	}
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for k, so := range shards {
-		<-so.done
-		if so.err != nil {
-			// The status line is long gone; report the shard failure on
-			// every one of its rows so the client sees exactly which points
-			// went unserved and why.
-			off := k * s.shardSize
-			end := off + s.shardSize
-			if end > len(jobs) {
-				end = len(jobs)
-			}
-			for i := off; i < end; i++ {
-				enc.Encode(SweepRow{
-					Index: i, Key: jobs[i].Key.String(),
-					Error: fmt.Sprintf("shard forward failed: %v", so.err),
-				})
-			}
-		} else {
-			for i := range so.rows {
-				enc.Encode(so.rows[i])
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	<-sh.done
+	if sh.err != nil {
+		// The status line is long gone; report the shard failure on every
+		// one of its rows so the client sees exactly which points went
+		// unserved and why.
+		return SweepRow{Index: sh.off + i, Key: sh.jobs[i].Key.String(),
+			Error: fmt.Sprintf("shard forward failed: %v", sh.err)}
 	}
+	return sh.rows[i]
 }
 
 // forward posts one shard to a peer worker process (NoForward set — a
 // shard is never re-sharded) and re-indexes the returned rows into the
 // parent request's index space.
 func (s *Server) forward(base string, specs []JobSpec, priority, offset int) ([]SweepRow, error) {
-	body, err := json.Marshal(SweepRequest{Jobs: specs, Priority: priority, NoForward: true})
+	rows, err := post(s.httpc, base, SweepRequest{Jobs: specs, Priority: priority, NoForward: true})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", base, err)
 	}
-	resp, err := s.httpc.Post(base+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var msg bytes.Buffer
-		msg.ReadFrom(resp.Body)
-		return nil, fmt.Errorf("%s: %s: %s", base, resp.Status, bytes.TrimSpace(msg.Bytes()))
-	}
-	dec := json.NewDecoder(resp.Body)
-	rows := make([]SweepRow, 0, len(specs))
-	for dec.More() {
-		var row SweepRow
-		if err := dec.Decode(&row); err != nil {
-			return nil, fmt.Errorf("%s: decoding shard response: %w", base, err)
-		}
-		row.Index += offset
-		rows = append(rows, row)
-	}
-	if len(rows) != len(specs) {
-		return nil, fmt.Errorf("%s: shard returned %d rows for %d jobs", base, len(rows), len(specs))
+	for i := range rows {
+		rows[i].Index += offset
 	}
 	return rows, nil
 }
 
 // ServerStats is the /v1/stats document.
 type ServerStats struct {
-	Memo       MemoStats    `json:"memo"`
-	Compile    CompileStats `json:"compile"`
-	QueueDepth int          `json:"queue_depth"`
-	Workers    int          `json:"workers"`
-	JobsRun    int64        `json:"jobs_run"`
-	Peers      []string     `json:"peers,omitempty"`
+	Memo       CacheStats `json:"memo"`
+	Compile    CacheStats `json:"compile"`
+	QueueDepth int        `json:"queue_depth"`
+	Workers    int        `json:"workers"`
+	JobsRun    int64      `json:"jobs_run"`
+	Peers      []string   `json:"peers,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,8 @@
 package sweepd
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,6 +235,43 @@ func TestShardForwardMerge(t *testing.T) {
 	}
 	if fr, wr := front.jobsRun.Load(), worker.jobsRun.Load(); fr+wr != int64(len(specs)) || wr == 0 {
 		t.Errorf("shard split front=%d worker=%d, want total %d with worker > 0", fr, wr, len(specs))
+	}
+}
+
+// A shard whose peer cannot be reached fails only its own rows: each one
+// carries the forward error, while the local shards' rows arrive intact and
+// in request order, and the client's error names the first failed job.
+func TestShardForwardFailure(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // its port now refuses connections
+	_, client := newTestServer(t, Options{Peers: []string{dead.URL}, ShardSize: 1})
+
+	specs := smallSpecs("MXM", "VPENTA", "TOMCATV", "SWIM")
+	rows, err := post(http.DefaultClient, client.Base, SweepRequest{Jobs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if key := specs[i].mustKey(t).String(); row.Index != i || row.Key != key {
+			t.Errorf("row %d: index %d key %s, want key %s", i, row.Index, row.Key, key)
+		}
+		if i%2 == 1 { // shards alternate [self, dead peer]
+			if !strings.HasPrefix(row.Error, "shard forward failed: "+dead.URL) || row.Result != nil {
+				t.Errorf("row %d (forwarded): error %q, result %d bytes", i, row.Error, len(row.Result))
+			}
+			continue
+		}
+		want, err := json.Marshal(inProcess(t, specs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Error != "" || !bytes.Equal(row.Result, want) {
+			t.Errorf("row %d (local): error %q, result differs from in-process: %t", i, row.Error, !bytes.Equal(row.Result, want))
+		}
+	}
+
+	if _, _, err := client.Sweep(specs); err == nil || !strings.HasPrefix(err.Error(), "job 1: shard forward failed") {
+		t.Errorf("client error %v, want one naming job 1's failed forward", err)
 	}
 }
 

@@ -1,23 +1,26 @@
 // Package sweepd is the persistent simulation service: a long-running
 // HTTP/JSON server that compiles once and serves many — the "heavy sweep
-// traffic" layer the roadmap names. Three caches make repeated work free:
+// traffic" layer the roadmap names. Two caches make repeated work free,
+// both instantiations of one LRU-bounded single-flight Cache (cache.go):
 //
-//   - a content-addressed result memo (memo.go): the full job spec is
-//     canonically encoded, hashed, and the finished result row's exact
-//     bytes are stored under that key in an LRU-bounded store, so a
-//     repeated sweep point never touches the engine and is served
-//     byte-identically forever;
-//   - a shared compiled-program cache (cache.go): concurrent jobs that
-//     agree on (workload, scale, mode, machine parameters) reuse one
-//     core.Compiled — and, through it, the per-Compiled engine pool — so
-//     a mixed sweep pays each distinct compilation once per process;
-//   - a priority job queue (queue.go) with bounded worker concurrency
-//     drawn from the process-wide internal/parallel budget.
+//   - a content-addressed result memo: the full job spec is canonically
+//     encoded and hashed, and the finished result row's exact bytes are
+//     stored under that key, so a repeated sweep point never touches the
+//     engine and is served byte-identically forever;
+//   - a shared compiled-program cache: concurrent jobs that agree on
+//     (workload, scale, mode, machine parameters) reuse one core.Compiled
+//     — and, through it, the per-Compiled engine pool — so a mixed sweep
+//     pays each distinct compilation once per process.
 //
-// Results stream back as NDJSON in canonical point order — the
+// A priority job queue (queue.go) with bounded worker concurrency drawn
+// from the process-wide internal/parallel budget runs the jobs. Every
+// request is served as contiguous shards emitted in request order
+// (server.go): one local shard, or, with peers, shards spread over this
+// process and forwarded worker processes, which merge back into
+// byte-identical order. Results stream back as NDJSON — the
 // strictly-ordered single-emitter of internal/parallel lifted to an HTTP
-// response — and large sweeps shard across forwarded worker processes
-// (server.go) and merge back into byte-identical order.
+// response — and the client and the forwarding server read them through
+// one reader (client.go).
 package sweepd
 
 import (
@@ -25,6 +28,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -44,7 +48,8 @@ type JobSpec struct {
 	// App names the workload (case-insensitive; the workload registry's
 	// name set). Required.
 	App string `json:"app"`
-	// Scale is the problem scale: "small" or "paper" ("" = paper).
+	// Scale is the problem scale: "small" or "paper" (case-insensitive;
+	// "" = paper).
 	Scale string `json:"scale,omitempty"`
 	// PEs are the PE counts of the sweep ("" = the paper's 1..64 ladder).
 	PEs []int `json:"pes,omitempty"`
@@ -102,7 +107,10 @@ type Job struct {
 // canonical form. Every failure is an error return naming the valid
 // choices — the server's HTTP 400 — never an exit.
 func (js *JobSpec) Resolve() (*Job, error) {
-	scale := js.Scale
+	// Canonicalize the scale before it reaches the key, as App and Profile
+	// are: driver.App accepts any casing, so "Small" and "small" are the
+	// same simulation and must be the same memo and compile-cache key.
+	scale := strings.ToLower(strings.TrimSpace(js.Scale))
 	if scale == "" {
 		scale = "paper"
 	}

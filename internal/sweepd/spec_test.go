@@ -45,6 +45,9 @@ func TestKeyAliasInvariance(t *testing.T) {
 	}{
 		{"canonical app casing", JobSpec{App: "mxm"}},
 		{"explicit paper scale", JobSpec{App: "MXM", Scale: "paper"}},
+		{"upper-case scale", JobSpec{App: "MXM", Scale: "PAPER"}},
+		{"padded scale", JobSpec{App: "MXM", Scale: " Paper "}},
+		{"blank scale", JobSpec{App: "MXM", Scale: "  "}},
 		{"explicit t3d profile", JobSpec{App: "MXM", Profile: "t3d"}},
 		{"upper-case profile", JobSpec{App: "MXM", Profile: "T3D"}},
 		{"explicit flat topology", JobSpec{App: "MXM", Topology: "flat"}},
@@ -58,6 +61,14 @@ func TestKeyAliasInvariance(t *testing.T) {
 	for _, a := range aliases {
 		if got := mustResolve(t, a.spec).Key; got != want {
 			t.Errorf("%s: key %s != base %s", a.name, got, want)
+		}
+	}
+
+	// Scale casing and padding collapse at the small scale too.
+	small := mustResolve(t, JobSpec{App: "MXM", Scale: "small"}).Key
+	for _, sc := range []string{"Small", "SMALL", " small\t"} {
+		if got := mustResolve(t, JobSpec{App: "MXM", Scale: sc}).Key; got != small {
+			t.Errorf("scale %q: key %s != small %s", sc, got, small)
 		}
 	}
 
