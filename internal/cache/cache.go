@@ -8,6 +8,8 @@
 // the engine's golden-value check proves coherence end to end.
 package cache
 
+import "math/bits"
+
 // Line is one cache line's state.
 type Line struct {
 	Tag     int64 // word address of the line start; -1 when invalid
@@ -25,6 +27,12 @@ type Line struct {
 type Cache struct {
 	lineWords int64
 	numLines  int64
+	// lineShift is log2(lineWords) when lineWords and numLines are both
+	// powers of two, so lineAddr and slot shift and mask instead of
+	// dividing; -1 for the other geometries machine.Params accepts (a
+	// 3-word line, say). Addresses are non-negative word addresses, where
+	// both forms agree.
+	lineShift int64
 	lines     []Line
 	// vals/gens are the single backing arrays every line's Vals/Gens slice
 	// into: three allocations per cache instead of two per line, which was
@@ -41,7 +49,7 @@ type Cache struct {
 func New(capacityWords, lineWords int64) *Cache {
 	n := capacityWords / lineWords
 	c := &Cache{
-		lineWords: lineWords, numLines: n, lines: make([]Line, n),
+		lineWords: lineWords, numLines: n, lineShift: lineShift(lineWords, n), lines: make([]Line, n),
 		vals: make([]float64, n*lineWords), gens: make([]uint32, n*lineWords),
 	}
 	for i := range c.lines {
@@ -65,7 +73,7 @@ func NewFleet(count int, capacityWords, lineWords int64) []*Cache {
 	out := make([]*Cache, count)
 	for ci := range caches {
 		c := &caches[ci]
-		c.lineWords, c.numLines = lineWords, n
+		c.lineWords, c.numLines, c.lineShift = lineWords, n, lineShift(lineWords, n)
 		lb := int64(ci) * n
 		wb := int64(ci) * words
 		c.lines = lineSlab[lb : lb+n : lb+n]
@@ -78,6 +86,15 @@ func NewFleet(count int, capacityWords, lineWords int64) []*Cache {
 		out[ci] = c
 	}
 	return out
+}
+
+// lineShift returns log2(lineWords) when lineWords and numLines are both
+// powers of two, and -1 otherwise.
+func lineShift(lineWords, numLines int64) int64 {
+	if lineWords <= 0 || numLines <= 0 || lineWords&(lineWords-1) != 0 || numLines&(numLines-1) != 0 {
+		return -1
+	}
+	return int64(bits.TrailingZeros64(uint64(lineWords)))
 }
 
 // Reset invalidates every line and zeroes the counters, returning the
@@ -96,10 +113,20 @@ func (c *Cache) Reset() {
 func (c *Cache) LineWords() int64 { return c.lineWords }
 
 // lineAddr returns the line-aligned address containing addr.
-func (c *Cache) lineAddr(addr int64) int64 { return addr - addr%c.lineWords }
+func (c *Cache) lineAddr(addr int64) int64 {
+	if c.lineShift >= 0 {
+		return addr &^ (c.lineWords - 1)
+	}
+	return addr - addr%c.lineWords
+}
 
 // slot returns the direct-mapped index for a line address.
-func (c *Cache) slot(lineAddr int64) int64 { return (lineAddr / c.lineWords) % c.numLines }
+func (c *Cache) slot(lineAddr int64) int64 {
+	if c.lineShift >= 0 {
+		return lineAddr >> c.lineShift & (c.numLines - 1)
+	}
+	return (lineAddr / c.lineWords) % c.numLines
+}
 
 // Lookup probes the cache for addr. On a hit it returns the cached value,
 // its fill-time generation, and the line's ready time.

@@ -87,3 +87,35 @@ func TestInvalidateRange(t *testing.T) {
 		t.Errorf("InvalidateAll dropped %d", n)
 	}
 }
+
+// TestLineIndexingMatchesDivision checks that the shift-and-mask indexing
+// of power-of-two geometries agrees with the division form, and that the
+// other geometries keep division, for every address in a range that wraps
+// the cache several times.
+func TestLineIndexingMatchesDivision(t *testing.T) {
+	for _, g := range []struct {
+		capacity, lineWords int64
+		shifted             bool
+	}{
+		{1024, 4, true},
+		{64, 1, true},
+		{1024, 3, false}, // 3-word lines
+		{96, 4, false},   // 24 lines
+		{96, 3, false},
+	} {
+		for _, c := range append(NewFleet(1, g.capacity, g.lineWords), New(g.capacity, g.lineWords)) {
+			if got := c.lineShift >= 0; got != g.shifted {
+				t.Fatalf("capacity %d line %d: shifted %v, want %v", g.capacity, g.lineWords, got, g.shifted)
+			}
+			for addr := int64(0); addr < 4*g.capacity+7; addr++ {
+				la := addr - addr%g.lineWords
+				if got := c.lineAddr(addr); got != la {
+					t.Fatalf("capacity %d line %d: lineAddr(%d) = %d, want %d", g.capacity, g.lineWords, addr, got, la)
+				}
+				if got, want := c.slot(la), (la/g.lineWords)%c.numLines; got != want {
+					t.Fatalf("capacity %d line %d: slot(%d) = %d, want %d", g.capacity, g.lineWords, la, got, want)
+				}
+			}
+		}
+	}
+}

@@ -228,3 +228,16 @@ func TestMachineErrorReturns(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuildApps builds the four small applications the way every
+// ccdpbench and t3dsim start, and every sweep point's resolution, does.
+// Its allocs/op is gated in CI: validating each program's affines used to
+// copy every subscript's variable list.
+func BenchmarkBuildApps(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Apps("MXM,VPENTA,TOMCATV,SWIM", "small"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -22,16 +22,11 @@ func refSites(cp *cProgram) []*cRef {
 			out = append(out, r)
 		}
 	}
-	var expr func(e cExpr)
-	expr = func(e cExpr) {
-		switch x := e.(type) {
-		case *cLoad:
-			add(x.ref)
-		case *cBin:
-			expr(x.l)
-			expr(x.r)
-		case *cUn:
-			expr(x.x)
+	expr := func(e cExpr) {
+		for i := range e {
+			if e[i].ref != nil {
+				add(e[i].ref)
+			}
 		}
 	}
 	var stmts func(ss []cStmt)

@@ -313,6 +313,7 @@ func New(c *core.Compiled) (*Engine, error) {
 	writtenSlab := make([]bool, mp.NumPE*cp.nScalars)
 	envSlab := make([]int64, mp.NumPE*cp.nVars)
 	boundSlab := make([]bool, mp.NumPE*cp.nVars)
+	stackSlab := make([]float64, mp.NumPE*cp.stackDepth)
 	for p := 0; p < mp.NumPE; p++ {
 		pe := &peSlab[p]
 		sLo, sHi := p*cp.nScalars, (p+1)*cp.nScalars
@@ -326,6 +327,7 @@ func New(c *core.Compiled) (*Engine, error) {
 			scalarWritten: writtenSlab[sLo:sHi:sHi],
 			env:           envSlab[vLo:vHi:vHi],
 			bound:         boundSlab[vLo:vHi:vHi],
+			stack:         stackSlab[p*cp.stackDepth : (p+1)*cp.stackDepth],
 			buffered:      bitset.NewSparse(lines),
 			shScratch:     shmem.NewScratch(e.mem, mp),
 		}

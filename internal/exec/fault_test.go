@@ -149,7 +149,7 @@ func TestPrefetchQueueOverflowDemotes(t *testing.T) {
 
 	ref0 := ir.At(arr, ir.K(0))
 	ref0.Prefetched = true
-	if v := pe.readMem(compileRef(t, eng, ref0), addr0, eng.mem.OwnerOf(addr0)); v != 5.0 {
+	if v := pe.readMem(compileRef(t, eng, ref0), addr0); v != 5.0 {
 		t.Errorf("queued word read %v, want 5.0", v)
 	}
 	if pe.pq.Consumed != 1 || pe.stats.Demotions != 0 {
@@ -159,7 +159,7 @@ func TestPrefetchQueueOverflowDemotes(t *testing.T) {
 
 	ref1 := ir.At(arr, ir.K(1))
 	ref1.Prefetched = true
-	if v := pe.readMem(compileRef(t, eng, ref1), addr1, eng.mem.OwnerOf(addr1)); v != 7.0 {
+	if v := pe.readMem(compileRef(t, eng, ref1), addr1); v != 7.0 {
 		t.Errorf("overflow-dropped word read %v, want the fresh 7.0", v)
 	}
 	if pe.stats.Demotions != 1 {
@@ -274,7 +274,7 @@ func TestOracleCatchesPlantedStaleLine(t *testing.T) {
 	pe.installLine(addr, 0)  // cache now holds gen 1
 	eng.mem.Write(addr, 2.0) // gen 2: the cached copy is stale
 
-	v := pe.readMem(compileRef(t, eng, ref), addr, eng.mem.OwnerOf(addr))
+	v := pe.readMem(compileRef(t, eng, ref), addr)
 	if v != 1.0 {
 		t.Fatalf("planted stale hit returned %v, want the stale 1.0", v)
 	}
@@ -307,7 +307,7 @@ func TestPlantedStaleLineDemotesUnderFaults(t *testing.T) {
 	pe.installLine(addr, 0)
 	eng.mem.Write(addr, 2.0)
 
-	v := pe.readMem(compileRef(t, eng, ref), addr, eng.mem.OwnerOf(addr))
+	v := pe.readMem(compileRef(t, eng, ref), addr)
 	if v != 2.0 {
 		t.Fatalf("degraded read returned %v, want the fresh 2.0", v)
 	}

@@ -50,6 +50,10 @@ type peState struct {
 	env   []int64
 	bound []bool
 
+	// stack is the operand stack postfix expressions evaluate on, sized
+	// to the program's deepest expression.
+	stack []float64
+
 	// regA/regV model compiler register allocation as a linear-scan window:
 	// within one iteration of the innermost executing loop, repeated loads
 	// of the same address are register hits costing nothing — in every mode,
@@ -143,6 +147,9 @@ func (pe *peState) runDoall(l *cLoop) error {
 	switch {
 	case l.sched == ir.SchedDynamic:
 		// Deterministic round-robin stand-in for runtime self-scheduling.
+		if l.covered != nil && hi >= lo {
+			pe.prove(l, lo, lastIter(lo, hi, step))
+		}
 		for it := lo; it <= hi; it += step {
 			if int((it-lo)/step)%mp.NumPE != pe.id {
 				continue
@@ -161,6 +168,9 @@ func (pe *peState) runDoall(l *cLoop) error {
 		}
 		if chunk.Empty() {
 			break
+		}
+		if l.covered != nil {
+			pe.prove(l, chunk.Lo, chunk.Hi)
 		}
 		for it := chunk.Lo; it <= chunk.Hi; it++ {
 			pe.now += mp.LoopIterCost
@@ -237,6 +247,9 @@ func (pe *peState) runSerialLoop(l *cLoop) error {
 	if hi < lo {
 		return nil
 	}
+	if l.covered != nil {
+		pe.prove(l, lo, lastIter(lo, hi, step))
+	}
 
 	// Pipeline prologue: prime `ahead` iterations per stream.
 	for i := range l.pipelined {
@@ -271,55 +284,127 @@ func (pe *peState) runSerialLoop(l *cLoop) error {
 	return nil
 }
 
-// --- Value evaluation -----------------------------------------------------
+// lastIter is the last value a loop from lo to hi (lo ≤ hi) by a positive
+// step takes.
+func lastIter(lo, hi, step int64) int64 { return lo + (hi-lo)/step*step }
 
-func (pe *peState) evalExpr(e cExpr) float64 {
-	mp := &pe.eng.c.Machine
-	switch x := e.(type) {
-	case *cNum:
-		return x.v
-	case *cIVal:
-		pe.now++
-		return float64(pe.evalAffine(&x.a))
-	case *cLoad:
-		return pe.readRef(x.ref)
-	case *cBin:
-		l := pe.evalExpr(x.l)
-		r := pe.evalExpr(x.r)
-		pe.now += mp.FlopCost
-		pe.stats.FlopCycles += mp.FlopCost
-		switch x.op {
-		case ir.OpAdd:
-			return l + r
-		case ir.OpSub:
-			return l - r
-		case ir.OpMul:
-			return l * r
-		case ir.OpDiv:
-			return l / r
-		case ir.OpMin:
-			return math.Min(l, r)
-		case ir.OpMax:
-			return math.Max(l, r)
+// prove runs at an entry of l whose variable takes values from first to
+// last: it marks each covered site proven when every subscript lies inside
+// its extent at both ends and every other slot it reads is bound, and
+// unproven otherwise. Subscripts are affine, and while l runs only its own
+// variable changes among the slots a covered site reads (cover leaves out
+// the variables of nested loops), so a subscript in range at both ends is
+// in range on every iteration in between.
+func (pe *peState) prove(l *cLoop, first, last int64) {
+	v := l.varSlot
+	for _, r := range l.covered {
+		r.proven = pe.inRange(r, v, first, last)
+		if !r.proven {
+			continue
 		}
-	case *cUn:
-		v := pe.evalExpr(x.x)
-		switch x.op {
-		case ir.OpNeg:
-			pe.now += mp.FlopCost
-			pe.stats.FlopCycles += mp.FlopCost
-			return -v
-		case ir.OpAbs:
-			pe.now += mp.FlopCost
-			pe.stats.FlopCycles += mp.FlopCost
-			return math.Abs(v)
-		case ir.OpSqrt:
-			pe.now += 8 * mp.FlopCost
-			pe.stats.FlopCycles += 8 * mp.FlopCost
-			return math.Sqrt(v)
+		r.entrySlot, r.entryK, r.entryCoef = v, r.flat.k, 0
+		for _, t := range r.flat.terms {
+			if t.slot == v {
+				r.entryCoef = t.coef
+			} else {
+				r.entryK += t.coef * pe.env[t.slot]
+			}
 		}
 	}
-	panic(fmt.Sprintf("exec: unknown expression %T", e))
+}
+
+// inRange reports whether every subscript of r lies inside its extent with
+// slot v at first and at last, and every other slot r reads is bound.
+func (pe *peState) inRange(r *cRef, v int32, first, last int64) bool {
+	for d := range r.dims {
+		cd := &r.dims[d]
+		lo, hi := cd.idx.k, cd.idx.k
+		for _, t := range cd.idx.terms {
+			if t.slot == v {
+				lo += t.coef * first
+				hi += t.coef * last
+				continue
+			}
+			if !pe.bound[t.slot] {
+				return false
+			}
+			x := t.coef * pe.env[t.slot]
+			lo += x
+			hi += x
+		}
+		if uint64(lo) >= uint64(cd.extent) || uint64(hi) >= uint64(cd.extent) {
+			return false
+		}
+	}
+	return true
+}
+
+// --- Value evaluation -----------------------------------------------------
+
+// evalExpr evaluates a postfix expression on the PE's operand stack. Loads
+// and cycle charges happen in instruction order, which is the tree walk's
+// order: operands left to right, then the operator's flop.
+func (pe *peState) evalExpr(e cExpr) float64 {
+	mp := &pe.eng.c.Machine
+	st := pe.stack
+	sp := 0
+	for i := range e {
+		in := &e[i]
+		if in.ref != nil {
+			st[sp] = pe.readRef(in.ref)
+			sp++
+		}
+		switch in.op {
+		case opLoad:
+		case opNum:
+			st[sp] = in.v
+			sp++
+		case opIVal:
+			pe.now++
+			st[sp] = float64(pe.evalAffine(in.a))
+			sp++
+		case opAdd:
+			sp--
+			st[sp-1] += st[sp]
+			pe.flop(mp.FlopCost)
+		case opSub:
+			sp--
+			st[sp-1] -= st[sp]
+			pe.flop(mp.FlopCost)
+		case opMul:
+			sp--
+			st[sp-1] *= st[sp]
+			pe.flop(mp.FlopCost)
+		case opDiv:
+			sp--
+			st[sp-1] /= st[sp]
+			pe.flop(mp.FlopCost)
+		case opMin:
+			sp--
+			st[sp-1] = math.Min(st[sp-1], st[sp])
+			pe.flop(mp.FlopCost)
+		case opMax:
+			sp--
+			st[sp-1] = math.Max(st[sp-1], st[sp])
+			pe.flop(mp.FlopCost)
+		case opNeg:
+			st[sp-1] = -st[sp-1]
+			pe.flop(mp.FlopCost)
+		case opAbs:
+			st[sp-1] = math.Abs(st[sp-1])
+			pe.flop(mp.FlopCost)
+		case opSqrt:
+			st[sp-1] = math.Sqrt(st[sp-1])
+			pe.flop(8 * mp.FlopCost)
+		}
+	}
+	return st[0]
+}
+
+// flop charges c cycles of floating-point work.
+func (pe *peState) flop(c int64) {
+	pe.now += c
+	pe.stats.FlopCycles += c
 }
 
 func evalCmp(op ir.CmpOp, l, r float64) bool {
@@ -344,15 +429,24 @@ func (pe *peState) evalAffine(a *caff) int64 {
 	return a.eval(pe.env, pe.bound)
 }
 
-// addrOf resolves an array reference to a word address. Subscripts are all
-// evaluated before any bound is checked, and bounds are checked in
-// dimension order — the exact panic precedence of mem.AddrOf over
-// MustEval'd indices, which it replaces. One pass evaluates, range-checks
-// and accumulates; only an out-of-range reference takes boundsPanic's
-// second, ordered pass. The inner loop is caff.eval written out: eval is
-// over the compiler's inlining budget, and dropping the call measured
-// about 9% off BenchmarkEngineHotPathMXMCCDP.
+// addrOf resolves an array reference to a word address. A site proven at
+// its loop's entry (cRef.proven) takes one multiply-add on the entry's
+// fold of its address; every other site takes checkedAddr.
 func (pe *peState) addrOf(r *cRef) int64 {
+	if r.proven {
+		return r.entryK + r.entryCoef*pe.env[r.entrySlot]
+	}
+	return pe.checkedAddr(r)
+}
+
+// checkedAddr resolves an unproven site. Subscripts are all evaluated
+// before any bound is checked, and bounds are checked in dimension order —
+// the exact panic precedence of mem.AddrOf over MustEval'd indices, which
+// it replaces. One pass evaluates, range-checks and accumulates; only an
+// out-of-range reference takes boundsPanic's second, ordered pass. The
+// inner loop is caff.eval written out: eval is over the compiler's
+// inlining budget.
+func (pe *peState) checkedAddr(r *cRef) int64 {
 	env, bound := pe.env, pe.bound
 	addr := r.base
 	inRange := true
@@ -377,7 +471,7 @@ func (pe *peState) addrOf(r *cRef) int64 {
 
 // boundsPanic reports the first out-of-range subscript of r in dimension
 // order. Subscript evaluation is pure and every subscript already
-// evaluated cleanly once in addrOf, so re-evaluating them is exact.
+// evaluated cleanly once in checkedAddr, so re-evaluating them is exact.
 func (pe *peState) boundsPanic(r *cRef) {
 	for d := range r.dims {
 		if x := r.dims[d].idx.eval(pe.env, pe.bound); x < 0 || x >= r.dims[d].extent {
@@ -434,28 +528,30 @@ func (pe *peState) readRef(r *cRef) float64 {
 		}
 		return v
 	}
-	v := pe.readMem(r, addr, ownerRef(r, addr))
+	v := pe.readMem(r, addr)
 	pe.regInsert(addr, v)
 	return v
 }
 
 // readMem performs the actual memory access for a read that missed the
-// register window; home is addr's home PE. Every path ends in oracleCheck:
-// the coherence safety oracle verifies the consumed word's generation
-// against memory on every read the simulated program makes.
-func (pe *peState) readMem(r *cRef, addr int64, home int) float64 {
+// register window. Every path ends in oracleCheck: the coherence safety
+// oracle verifies the consumed word's generation against memory on every
+// read the simulated program makes. addr's home PE costs a division, so
+// only the paths that use it compute it: a cache hit does not.
+func (pe *peState) readMem(r *cRef, addr int64) float64 {
 	// Hardware coherence arena: every cached access goes through the
 	// directory protocol instead (hw.go). The HW pipelines never mark refs
 	// non-cached or bypass, so no software path is bypassed here.
 	if pe.eng.hw != nil {
-		return pe.readMemHW(r, addr, home)
+		return pe.readMemHW(r, addr, ownerRef(r, addr))
 	}
 	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
-	local := home == pe.id
 
 	// BASE: CRAFT shared data is never cached.
 	if r.nonCached {
+		home := ownerRef(r, addr)
+		local := home == pe.id
 		pe.stats.NonCachedRefs++
 		pe.now += mp.CraftSharedAccessCost
 		if local {
@@ -474,6 +570,8 @@ func (pe *peState) readMem(r *cRef, addr int64, home int) float64 {
 	// Bypass-cache fetch: stale read not worth prefetching, or dropped
 	// prefetch (paper §3.2) — read memory directly around the cache.
 	if r.bypass {
+		home := ownerRef(r, addr)
+		local := home == pe.id
 		pe.stats.BypassReads++
 		if local {
 			pe.now += mp.LocalReadCost
@@ -513,6 +611,8 @@ func (pe *peState) readMem(r *cRef, addr int64, home int) float64 {
 			return val
 		}
 	}
+	home := ownerRef(r, addr)
+	local := home == pe.id
 
 	// Prefetch queue: the compiler scheduled this word ahead of time.
 	if e, ok := pe.pq.Take(addr); ok {

@@ -77,6 +77,13 @@ func (a Affine) Terms() []Term {
 	return out
 }
 
+// NumTerms returns the number of variable terms.
+func (a Affine) NumTerms() int { return len(a.terms) }
+
+// TermAt returns the i-th variable term in variable-name order. With
+// NumTerms it walks the terms in place: Terms and Vars copy them.
+func (a Affine) TermAt(i int) Term { return a.terms[i] }
+
 // Vars returns the variables with non-zero coefficients, sorted.
 func (a Affine) Vars() []string {
 	out := make([]string, len(a.terms))
@@ -121,12 +128,12 @@ func (a Affine) Scale(c int64) Affine {
 	return out
 }
 
-// AddConst returns a+k.
+// AddConst returns a+k. The result shares a's terms: no operation
+// mutates a term list in place (Add, Sub, Scale and Subst build fresh
+// ones).
 func (a Affine) AddConst(k int64) Affine {
-	out := a
-	out.terms = a.Terms() // defensive copy; immutability contract
-	out.k += k
-	return out
+	a.k += k
+	return a
 }
 
 // Mul returns a*b when at least one operand is constant; ok is false when

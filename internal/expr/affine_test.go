@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -281,5 +282,38 @@ func TestPropEqualIsStructural(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTermWalkAndAddConstShareTerms pins the set-up paths that walk and
+// shift affines without allocating: TermAt walks the terms in place, and
+// AddConst shares its operand's terms, which stays safe because every
+// operation that changes terms builds a fresh list.
+func TestTermWalkAndAddConstShareTerms(t *testing.T) {
+	a := New(3, Term{Var: "j", Coef: 2}, Term{Var: "i", Coef: -1})
+	var vars []string
+	for i := 0; i < a.NumTerms(); i++ {
+		vars = append(vars, a.TermAt(i).Var)
+	}
+	if got := strings.Join(vars, ","); got != strings.Join(a.Vars(), ",") || got != "i,j" {
+		t.Fatalf("TermAt walk = %q, Vars = %v", got, a.Vars())
+	}
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < a.NumTerms(); i++ {
+			n += len(a.TermAt(i).Var)
+		}
+		b := a.AddConst(5)
+		n += int(b.ConstPart())
+	}); allocs != 0 {
+		t.Errorf("term walk and AddConst: %v allocs, want 0", allocs)
+	}
+	b := a.AddConst(5)
+	_ = b.Add(Var("i")).Scale(3).Subst("j", Var("k"))
+	if want := New(8, Term{Var: "j", Coef: 2}, Term{Var: "i", Coef: -1}); !b.Equal(want) {
+		t.Fatalf("AddConst(5) = %s, want %s", b, want)
+	}
+	if !a.Equal(New(3, Term{Var: "j", Coef: 2}, Term{Var: "i", Coef: -1})) {
+		t.Fatalf("a changed to %s", a)
 	}
 }

@@ -1,6 +1,10 @@
 package ir
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/expr"
+)
 
 // SymTable interns the names a program's execution environment is keyed by:
 // every PE-private scalar and every integer variable (loop induction
@@ -81,9 +85,9 @@ func (t *SymTable) internVar(name string) int {
 	return i
 }
 
-func (t *SymTable) internAffine(a interface{ Vars() []string }) {
-	for _, v := range a.Vars() {
-		t.internVar(v)
+func (t *SymTable) internAffine(a expr.Affine) {
+	for i := 0; i < a.NumTerms(); i++ {
+		t.internVar(a.TermAt(i).Var)
 	}
 }
 

@@ -214,7 +214,8 @@ func (v *validator) ref(r *Ref) error {
 }
 
 func (v *validator) affine(a expr.Affine) error {
-	for _, name := range a.Vars() {
+	for i := 0; i < a.NumTerms(); i++ {
+		name := a.TermAt(i).Var
 		if v.scope[name] {
 			continue
 		}
