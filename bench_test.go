@@ -187,11 +187,26 @@ func BenchmarkEngineRaceDetection(b *testing.B) {
 
 // --- Compiler front half: stale reference analysis throughput ---
 
+// BenchmarkStaleAnalysis times one analysis of SWIM(65,2) on 16 PEs, with
+// per-PE coherence domains (t3d) and with domains of 4 PEs (cxl-pcc), which
+// adds the intra-domain dataflow.
 func BenchmarkStaleAnalysis(b *testing.B) {
 	spec := workloads.SWIM(65, 2)
-	for i := 0; i < b.N; i++ {
-		if _, err := stale.Analyze(spec.Prog, 16); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		mp   machine.Params
+	}{
+		{"t3d", machine.T3D(16)},
+		{"cxl-pcc", machine.MustProfileParams("cxl-pcc", 16)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := stale.Options{Domains: bc.mp.DomainTable()}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := stale.AnalyzeOpt(spec.Prog, bc.mp.NumPE, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

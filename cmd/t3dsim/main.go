@@ -75,7 +75,7 @@ func main() {
 	}
 	fmt.Printf("%s %v on %d PEs: %d cycles\n", spec.Name, m, mp.NumPE, res.Cycles)
 	if *races {
-		fmt.Println("race detection: parallel epochs run their PEs sequentially so model violations are caught deterministically; simulated cycle counts are unchanged, only wall-clock is")
+		fmt.Println("race detection: no two PEs of a parallel epoch touched the same shared word with at least one write; simulated cycle counts are unchanged")
 	}
 	if plan.Enabled() {
 		fmt.Println(plan)

@@ -91,8 +91,7 @@ func widenProgram() *ir.Program {
 // renderAnalysis writes a canonical rendering of a stale analysis result:
 // the three marked-reference maps with their witnesses in RefID order, then
 // every per-(node, PE) region table in prog.Arrays order, each section as
-// its rectangles in stored order plus the approx bit. A table with no entry
-// for an array renders as a non-approx empty set.
+// its approx bit plus its rectangles in stored order, ∅ when it has none.
 func renderAnalysis(w io.Writer, prog *ir.Program, r *stale.Result) {
 	marks := func(label string, set map[ir.RefID]bool, why map[ir.RefID]string) {
 		ids := make([]int, 0, len(set))
@@ -110,7 +109,7 @@ func renderAnalysis(w io.Writer, prog *ir.Program, r *stale.Result) {
 	marks("remote", r.RemoteReads, r.RemoteWhy)
 	marks("demoted", r.DemotedIntra, r.DemotedWhy)
 
-	table := func(label string, state [][]stale.ArraySections) {
+	table := func(label string, state [][][]section.Set) {
 		if state == nil {
 			fmt.Fprintf(w, "%s nil\n", label)
 			return
@@ -119,8 +118,8 @@ func renderAnalysis(w io.Writer, prog *ir.Program, r *stale.Result) {
 		for n := range state {
 			for p := range state[n] {
 				fmt.Fprintf(w, "  n%d p%d:", n, p)
-				for _, arr := range prog.Arrays {
-					s := sectionAt(state[n][p], arr)
+				for a, arr := range prog.Arrays {
+					s := state[n][p][a]
 					fmt.Fprintf(w, " %s=", arr.Name)
 					if s.Approx() {
 						io.WriteString(w, "~")
@@ -142,18 +141,11 @@ func renderAnalysis(w io.Writer, prog *ir.Program, r *stale.Result) {
 	table("hwinv", r.HWInvalidate)
 }
 
-// sectionAt reads one array's section out of a per-PE region table.
-func sectionAt(t stale.ArraySections, arr *ir.Array) section.Set {
-	if s, ok := t[arr.Name]; ok {
-		return s
-	}
-	return section.Empty(arr.Rank())
-}
-
 // TestAnalysisPinned pins the stale analysis's complete output — marked
 // references, witnesses, and every dirty and invalidation region with its
 // approx bit — by sha256 over a canonical rendering, for the four small
-// apps and 64 progen programs on per-PE and multi-PE coherence domains. A
+// apps, 64 progen programs and widenProgram on per-PE and multi-PE
+// coherence domains. A
 // change to the analysis's representation must leave every digest as is.
 // Regenerate with `go test ./internal/core -run TestAnalysisPinned -update`.
 func TestAnalysisPinned(t *testing.T) {

@@ -30,7 +30,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/cache"
@@ -42,8 +41,8 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/pfq"
+	"repro/internal/section"
 	"repro/internal/shmem"
-	"repro/internal/stale"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -137,16 +136,6 @@ type epochInst struct {
 // invRange is one precomputed invalidation address range [lo, hi].
 type invRange struct{ lo, hi int64 }
 
-// invPlan is one (epoch node, PE)'s compiler-directed invalidation work,
-// with the analysis sections resolved to word-address ranges once per
-// Engine. has distinguishes "no entries" (no invalidation cost at all)
-// from "entries whose sections are empty" (the fixed cost still applies),
-// mirroring the map the analysis produces.
-type invPlan struct {
-	has    bool
-	ranges []invRange
-}
-
 // Engine executes one compiled program. New builds the compiled mirror
 // tree, the dynamic epoch schedule, the interconnect and all per-PE state
 // once; Run resets that state and executes, so repeated runs are
@@ -169,11 +158,15 @@ type Engine struct {
 
 	// Precomputed schedules (New-time, immutable across runs).
 	insts []epochInst
-	inv   [][]invPlan // [node][pe]; nil outside CCDP
+	// inv is each (epoch node, PE)'s compiler-directed invalidation work,
+	// the analysis sections resolved to word-address ranges once per
+	// Engine; nil outside CCDP. A PE with no ranges pays no invalidation
+	// cost at all.
+	inv [][][]invRange // [node][pe]
 	// hwInv mirrors inv for the coherence-domain hardware: the intra-domain
 	// dirty regions the domain's coherent fabric has already invalidated by
 	// epoch entry. Applied at zero cycle cost. nil without domains.
-	hwInv [][]invPlan
+	hwInv [][][]invRange
 	// domains is true when the machine groups PEs into multi-PE coherence
 	// domains AND this is a CCDP compilation: the compiler then skips
 	// prefetches for intra-domain words outside the cross-domain refetch
@@ -210,27 +203,20 @@ func domainTopo(mp *machine.Params) noc.Config {
 }
 
 // buildInvPlans resolves one analysis invalidation table (software or
-// hardware) into per-(node, PE) word-address range plans.
-func buildInvPlans(prog *ir.Program, graph *ir.EpochGraph, numPE int, table [][]stale.ArraySections) [][]invPlan {
-	plans := make([][]invPlan, len(graph.Nodes))
-	for ni := range graph.Nodes {
-		plans[ni] = make([]invPlan, numPE)
-		for p := 0; p < numPE; p++ {
-			sections := table[ni][p]
-			plan := invPlan{has: len(sections) > 0}
-			names := make([]string, 0, len(sections))
-			for name := range sections {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				arr := prog.ArrayByName(name)
-				for _, r := range sections[name].Rects() {
-					plan.ranges = append(plan.ranges,
-						invRange{mem.AddrOf(arr, r.Lo), mem.AddrOf(arr, r.Hi)})
+// hardware) into per-(node, PE) word-address ranges, in array order.
+// Arrays occupy disjoint address ranges, so neither the dropped-line count
+// nor domainSkip's membership test depends on that order.
+func buildInvPlans(arrays []*ir.Array, table [][][]section.Set) [][][]invRange {
+	plans := make([][][]invRange, len(table))
+	for n, perPE := range table {
+		plans[n] = make([][]invRange, len(perPE))
+		for p, sections := range perPE {
+			for a, s := range sections {
+				for _, r := range s.Rects() {
+					plans[n][p] = append(plans[n][p],
+						invRange{mem.AddrOf(arrays[a], r.Lo), mem.AddrOf(arrays[a], r.Hi)})
 				}
 			}
-			plans[ni][p] = plan
 		}
 	}
 	return plans
@@ -280,14 +266,11 @@ func New(c *core.Compiled) (*Engine, error) {
 		return nil, err
 	}
 
-	// Precompute CCDP invalidation regions as word-address ranges, in
-	// sorted array-name order. Arrays occupy disjoint address ranges, so
-	// the dropped-line count and the resulting cache state are identical
-	// to walking the analysis map in any order.
+	// Precompute CCDP invalidation regions as word-address ranges.
 	if c.Mode == core.ModeCCDP && c.Stale != nil {
-		e.inv = buildInvPlans(prog, graph, mp.NumPE, c.Stale.Invalidate)
+		e.inv = buildInvPlans(prog.Arrays, c.Stale.Invalidate)
 		if c.Stale.HWInvalidate != nil {
-			e.hwInv = buildInvPlans(prog, graph, mp.NumPE, c.Stale.HWInvalidate)
+			e.hwInv = buildInvPlans(prog.Arrays, c.Stale.HWInvalidate)
 		}
 	}
 	e.domains = mp.DomainSize > 1 && e.inv != nil
@@ -490,34 +473,30 @@ func (e *Engine) epoch(inst *epochInst) error {
 	node := inst.node
 	e.stats.Epochs++
 
-	// Modeled hardware coherence (machines with multi-PE domains): the
-	// domain fabric has already invalidated the intra-domain dirty regions
-	// by the time the epoch starts, at no cycle cost to the program.
-	if e.hwInv != nil {
-		for p, pe := range e.pes {
-			for _, r := range e.hwInv[node.Index][p].ranges {
-				pe.stats.DomainHWInvalidations += pe.cache.InvalidateRange(r.lo, r.hi)
-			}
-		}
-	}
-
 	// Compiler-directed invalidation (CCDP): each PE drops the cached
-	// regions the analysis says may be dirty for it.
+	// regions the analysis says may be dirty for it. On machines with
+	// multi-PE domains the domain fabric has first invalidated the
+	// intra-domain dirty regions, at no cycle cost to the program.
 	if e.inv != nil {
 		for p, pe := range e.pes {
-			plan := &e.inv[node.Index][p]
+			if e.hwInv != nil {
+				for _, r := range e.hwInv[node.Index][p] {
+					pe.stats.DomainHWInvalidations += pe.cache.InvalidateRange(r.lo, r.hi)
+				}
+			}
+			ranges := e.inv[node.Index][p]
 			var dropped int64
-			for _, r := range plan.ranges {
+			for _, r := range ranges {
 				dropped += pe.cache.InvalidateRange(r.lo, r.hi)
 			}
-			if plan.has {
+			if len(ranges) > 0 {
 				pe.now += 10 + dropped*mp.InvalidateLineCost
 			}
 			pe.stats.InvalidatedLines += dropped
 			// The epoch's cross-domain refetch ranges double as the
 			// compiler's prefetch-skip filter on domained machines
 			// (peState.domainSkip).
-			pe.crossInv = plan.ranges
+			pe.crossInv = ranges
 		}
 	}
 

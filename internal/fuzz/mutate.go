@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/stale"
+	"repro/internal/section"
 )
 
 // Mutation is a deliberate sabotage of a compiled program, applied after
@@ -82,13 +82,15 @@ func ParseMutation(s string) (Mutation, error) {
 // modes; the directory mutation targets the hardware modes only).
 func Sabotage(c *core.Compiled, m Mutation) {
 	switch m {
-	case MutNoInvalidate:
-		if c.Stale == nil {
+	case MutNoInvalidate, MutNoDomainDemotion:
+		if c.Stale == nil || (m == MutNoDomainDemotion && c.Machine.DomainSize <= 1) {
 			return
 		}
-		for n := range c.Stale.Invalidate {
-			for p := range c.Stale.Invalidate[n] {
-				c.Stale.Invalidate[n][p] = stale.ArraySections{}
+		for _, perPE := range c.Stale.Invalidate {
+			for _, sections := range perPE {
+				for a, s := range sections {
+					sections[a] = section.Empty(s.Rank())
+				}
 			}
 		}
 	case MutNoSchedMarks:
@@ -105,14 +107,5 @@ func Sabotage(c *core.Compiled, m Mutation) {
 			return
 		}
 		c.Machine.DirDropInvalidations = true
-	case MutNoDomainDemotion:
-		if c.Stale == nil || c.Machine.DomainSize <= 1 {
-			return
-		}
-		for n := range c.Stale.Invalidate {
-			for p := range c.Stale.Invalidate[n] {
-				c.Stale.Invalidate[n][p] = stale.ArraySections{}
-			}
-		}
 	}
 }

@@ -264,8 +264,12 @@ func (s Set) UnionRect(r Rect) Set {
 	return out.widenIfNeeded()
 }
 
-// Union returns s ∪ t.
+// Union returns s ∪ t. The union of an exact empty set with t is t itself:
+// rebuilding t's rectangles one by one would reproduce them in order.
 func (s Set) Union(t Set) Set {
+	if len(s.rects) == 0 && !s.approx {
+		return t
+	}
 	out := s
 	out.approx = s.approx || t.approx
 	for _, r := range t.rects {

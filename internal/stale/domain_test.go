@@ -53,9 +53,9 @@ func TestDomainSingleDomainDemotesAll(t *testing.T) {
 	}
 	for n := range res.Invalidate {
 		for pe := range res.Invalidate[n] {
-			for name, s := range res.Invalidate[n][pe] {
+			for a, s := range res.Invalidate[n][pe] {
 				if !s.IsEmpty() {
-					t.Errorf("software invalidation of %s survives at epoch %d PE %d", name, n, pe)
+					t.Errorf("software invalidation of %s survives at epoch %d PE %d", p.Arrays[a].Name, n, pe)
 				}
 			}
 		}

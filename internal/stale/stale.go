@@ -2,11 +2,13 @@ package stale
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/craft"
 	"repro/internal/ir"
+	"repro/internal/section"
 )
 
 // maxPasses bounds dataflow iterations per node before widening is forced.
@@ -39,31 +41,35 @@ type Result struct {
 	// RemoteWhy records the first witness for each remote read.
 	RemoteWhy map[ir.RefID]string
 
+	// The region tables below are indexed [node][PE][array slot], a slot
+	// being the array's position in Graph.Prog.Arrays; every slot holds a
+	// section of its array's rank, empty where there is no region.
+
 	// DirtyAtEntry[n][p] is the fixpoint dirty-for-p region at entry to
 	// epoch node n. With coherence domains (Options.Domains) this is the
 	// CROSS-domain dirty state: regions overwritten by PEs outside p's
 	// domain, the only writes software must handle. Without domains every
 	// other PE is cross-domain and this is the classic domain-blind state.
-	DirtyAtEntry [][]ArraySections
+	DirtyAtEntry [][][]section.Set
 
 	// IntraDirty[n][p] is the companion fixpoint over same-domain writers
 	// only: regions overwritten by p's domain peers, which the domain's
 	// hardware coherence invalidates for free. nil without domains. The
 	// union DirtyAtEntry ∪ IntraDirty covers the domain-blind dirty state,
 	// so splitting loses no writes.
-	IntraDirty [][]ArraySections
+	IntraDirty [][][]section.Set
 
 	// Invalidate[n][p] is the region PE p must invalidate in its cache when
 	// entering node n (cross-domain dirty ∩ may-read): the compiler-directed
 	// invalidation the CCDP scheme performs before issuing prefetches
 	// (paper §3.2).
-	Invalidate [][]ArraySections
+	Invalidate [][][]section.Set
 
 	// HWInvalidate[n][p] is the region of p's cache the domain's hardware
 	// coherence has already invalidated by entry to node n (intra-domain
 	// dirty ∩ may-read). The engine models it by dropping those lines at
 	// epoch entry at zero cost. nil without domains.
-	HWInvalidate [][]ArraySections
+	HWInvalidate [][][]section.Set
 
 	// DemotedIntra marks read references the domain-blind analysis would
 	// have called potentially stale but whose dirt is wholly intra-domain
@@ -182,13 +188,12 @@ func (r *Result) markRemote() {
 // state whose generating writers are selected by gens (cross-domain or
 // intra-domain peers). The kill set is the same either way — any coherent
 // access by p itself refreshes its copies regardless of who dirtied them.
-func (r *Result) fixpoint(gens func(q, p int) bool) [][]ArraySections {
+func (r *Result) fixpoint(gens func(q, p int) bool) [][][]section.Set {
 	n := len(r.Graph.Nodes)
-	entry := make([][]ArraySections, n)
-	outs := make([][]ArraySections, n)
+	entry := make([][][]section.Set, n)
+	outs := make([][][]section.Set, n)
 	for i := 0; i < n; i++ {
-		entry[i] = emptyState(r.NumPE)
-		outs[i] = nil
+		entry[i] = r.emptyState()
 	}
 	passes := make([]int, n)
 
@@ -218,7 +223,7 @@ func (r *Result) fixpoint(gens func(q, p int) bool) [][]ArraySections {
 		}
 		outs[i] = out
 		for _, succ := range r.Graph.Succ[i] {
-			merged := mergeState(entry[succ], out, r.NumPE)
+			merged := mergeState(entry[succ], out)
 			if !statesEqual(entry[succ], merged) {
 				entry[succ] = merged
 				push(succ)
@@ -233,40 +238,22 @@ func (r *Result) fixpoint(gens func(q, p int) bool) [][]ArraySections {
 // transfer applies one epoch node to the dirty state:
 //
 //	out_p = (in_p − mustWrite_p − mustRead_p) ∪ ⋃_{gens(q,p)} mayWrite_q
-func (r *Result) transfer(node int, in []ArraySections, gens func(q, p int) bool) []ArraySections {
+func (r *Result) transfer(node int, in [][]section.Set, gens func(q, p int) bool) [][]section.Set {
 	sum := r.Summaries[node]
-	out := make([]ArraySections, r.NumPE)
+	out := make([][]section.Set, r.NumPE)
 	// Union of other PEs' writes, computed once as total minus own share is
 	// not valid for sections; build per-p by excluding q == p.
 	for p := 0; p < r.NumPE; p++ {
-		cur := in[p].clone()
+		cur := slices.Clone(in[p])
 		// Kills first: p's own coherent accesses refresh its copies.
-		for name, kill := range sum.MustWrite[p] {
-			if have, ok := cur[name]; ok {
-				cur[name] = have.Subtract(kill)
-			}
-		}
+		subtract(cur, sum.MustWrite[p])
 		if !r.opts.DisableReadRefresh {
-			for name, kill := range sum.MustRead[p] {
-				if have, ok := cur[name]; ok {
-					cur[name] = have.Subtract(kill)
-				}
-			}
+			subtract(cur, sum.MustRead[p])
 		}
 		// Then gen: writes by every selected other PE in this epoch.
 		for q := 0; q < r.NumPE; q++ {
-			if !gens(q, p) {
-				continue
-			}
-			for name, w := range sum.MayWrite[q] {
-				if w.IsEmpty() {
-					continue
-				}
-				if have, ok := cur[name]; ok {
-					cur[name] = have.Union(w)
-				} else {
-					cur[name] = w
-				}
+			if gens(q, p) {
+				union(cur, sum.MayWrite[q])
 			}
 		}
 		out[p] = cur
@@ -274,35 +261,55 @@ func (r *Result) transfer(node int, in []ArraySections, gens func(q, p int) bool
 	return out
 }
 
-// markStale flags read refs whose section meets the reader's dirty region.
-func (r *Result) markStale() {
+// subtract removes kill from cur, slot by slot.
+func subtract(cur, kill []section.Set) {
+	for a, k := range kill {
+		if !k.IsEmpty() {
+			cur[a] = cur[a].Subtract(k)
+		}
+	}
+}
+
+// union adds add to cur, slot by slot. Empty sets are skipped, approx bit
+// and all: an empty region dirties nothing.
+func union(cur, add []section.Set) {
+	for a, s := range add {
+		if !s.IsEmpty() {
+			cur[a] = cur[a].Union(s)
+		}
+	}
+}
+
+// markOverlaps marks every read reference, outside skip, whose per-PE
+// section meets that PE's region in state at entry to its epoch, recording
+// the first (epoch, PE) witness through reason.
+func (r *Result) markOverlaps(state [][][]section.Set, skip, mark map[ir.RefID]bool,
+	why map[ir.RefID]string, reason func(p, node int, arr *ir.Array) string) {
 	for i, sum := range r.Summaries {
-		in := r.DirtyAtEntry[i]
 		for _, ra := range sum.Refs {
-			if ra.IsWrite {
+			if ra.IsWrite || skip[ra.Ref.ID] {
 				continue
 			}
-			name := ra.Ref.Array.Name
 			for p := 0; p < r.NumPE; p++ {
-				if ra.PerPE[p].IsEmpty() {
+				if !state[i][p][ra.slot].Overlaps(ra.PerPE[p]) {
 					continue
 				}
-				dirty, ok := in[p][name]
-				if !ok || dirty.IsEmpty() {
-					continue
+				mark[ra.Ref.ID] = true
+				if _, ok := why[ra.Ref.ID]; !ok {
+					why[ra.Ref.ID] = reason(p, i, ra.Ref.Array)
 				}
-				if dirty.Overlaps(ra.PerPE[p]) {
-					r.StaleReads[ra.Ref.ID] = true
-					if _, ok := r.Why[ra.Ref.ID]; !ok {
-						r.Why[ra.Ref.ID] = fmt.Sprintf(
-							"PE %d's read section of %s overlaps its dirty region at entry to epoch %d (%s)",
-							p, name, i, r.Graph.Nodes[i].Kind())
-					}
-					break
-				}
+				break
 			}
 		}
 	}
+}
+
+// markStale flags read refs whose section meets the reader's dirty region.
+func (r *Result) markStale() {
+	r.markOverlaps(r.DirtyAtEntry, nil, r.StaleReads, r.Why, func(p, i int, arr *ir.Array) string {
+		return fmt.Sprintf("PE %d's read section of %s overlaps its dirty region at entry to epoch %d (%s)",
+			p, arr.Name, i, r.Graph.Nodes[i].Kind())
+	})
 }
 
 // markDemoted records the reads the domain split rescued: references that
@@ -314,54 +321,25 @@ func (r *Result) markDemoted() {
 	if r.IntraDirty == nil {
 		return
 	}
-	for i, sum := range r.Summaries {
-		in := r.IntraDirty[i]
-		for _, ra := range sum.Refs {
-			if ra.IsWrite || r.StaleReads[ra.Ref.ID] {
-				continue
-			}
-			name := ra.Ref.Array.Name
-			for p := 0; p < r.NumPE; p++ {
-				if ra.PerPE[p].IsEmpty() {
-					continue
-				}
-				dirty, ok := in[p][name]
-				if !ok || dirty.IsEmpty() {
-					continue
-				}
-				if dirty.Overlaps(ra.PerPE[p]) {
-					r.DemotedIntra[ra.Ref.ID] = true
-					if _, ok := r.DemotedWhy[ra.Ref.ID]; !ok {
-						r.DemotedWhy[ra.Ref.ID] = fmt.Sprintf(
-							"PE %d's read section of %s is dirtied only by PEs of its own coherence domain %d at entry to epoch %d — hardware keeps the copy coherent, demoted to non-stale",
-							p, name, r.opts.Domains[p], i)
-					}
-					break
-				}
-			}
-		}
-	}
+	r.markOverlaps(r.IntraDirty, r.StaleReads, r.DemotedIntra, r.DemotedWhy, func(p, i int, arr *ir.Array) string {
+		return fmt.Sprintf("PE %d's read section of %s is dirtied only by PEs of its own coherence domain %d at entry to epoch %d — hardware keeps the copy coherent, demoted to non-stale",
+			p, arr.Name, r.opts.Domains[p], i)
+	})
 }
 
 // buildInvalidate computes per-node per-PE invalidation regions: the
 // software set from the cross-domain dirty state and, with domains, the
 // modeled hardware set from the intra-domain state.
 func (r *Result) buildInvalidate() {
-	build := func(state [][]ArraySections) [][]ArraySections {
-		out := make([][]ArraySections, len(r.Summaries))
+	build := func(state [][][]section.Set) [][][]section.Set {
+		out := make([][][]section.Set, len(r.Summaries))
 		for i, sum := range r.Summaries {
-			in := state[i]
-			out[i] = make([]ArraySections, r.NumPE)
+			out[i] = make([][]section.Set, r.NumPE)
 			for p := 0; p < r.NumPE; p++ {
-				inv := ArraySections{}
-				for name, rd := range sum.MayRead[p] {
-					dirty, ok := in[p][name]
-					if !ok || dirty.IsEmpty() {
-						continue
-					}
-					is := dirty.Intersect(rd)
-					if !is.IsEmpty() {
-						inv[name] = is
+				inv := emptySections(r.Graph.Prog.Arrays)
+				for a, rd := range sum.MayRead[p] {
+					if is := state[i][p][a].Intersect(rd); !is.IsEmpty() {
+						inv[a] = is
 					}
 				}
 				out[i][p] = inv
@@ -412,47 +390,51 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
-func emptyState(numPE int) []ArraySections {
-	out := make([]ArraySections, numPE)
+func (r *Result) emptyState() [][]section.Set {
+	out := make([][]section.Set, r.NumPE)
 	for p := range out {
-		out[p] = ArraySections{}
+		out[p] = emptySections(r.Graph.Prog.Arrays)
 	}
 	return out
 }
 
-func mergeState(a, b []ArraySections, numPE int) []ArraySections {
-	out := make([]ArraySections, numPE)
-	for p := 0; p < numPE; p++ {
-		cur := a[p].clone()
-		for name, s := range b[p] {
-			if s.IsEmpty() {
+func mergeState(a, b [][]section.Set) [][]section.Set {
+	out := make([][]section.Set, len(a))
+	for p := range a {
+		out[p] = slices.Clone(a[p])
+		union(out[p], b[p])
+	}
+	return out
+}
+
+// statesEqual compares two dataflow states slot by slot: two non-empty
+// sections are equal when their points and approx bits are. Any two empty
+// sections are equal, approx bit or not. The approx bit of an empty section
+// comes from a kill that emptied an approximate region. It never reaches an
+// entry state, because union skips empty sets. So two states that differ
+// only there merge into every successor identically, and fixpoint's answer
+// to "did the output change" cannot change what it computes (the core
+// package's TestAnalysisPinned reaches this case and pins the result).
+func statesEqual(a, b [][]section.Set) bool {
+	for p := range a {
+		for i, x := range a[p] {
+			y := b[p][i]
+			if x.IsEmpty() && y.IsEmpty() {
 				continue
 			}
-			if have, ok := cur[name]; ok {
-				cur[name] = have.Union(s)
-			} else {
-				cur[name] = s
+			if x.Approx() != y.Approx() || !x.EqualPoints(y) {
+				return false
 			}
-		}
-		out[p] = cur
-	}
-	return out
-}
-
-func statesEqual(a, b []ArraySections) bool {
-	for p := range a {
-		if !a[p].equal(b[p]) {
-			return false
 		}
 	}
 	return true
 }
 
-func widenState(st []ArraySections) {
-	for p := range st {
-		for name, s := range st[p] {
+func widenState(st [][]section.Set) {
+	for _, sets := range st {
+		for i, s := range sets {
 			if !s.Approx() {
-				st[p][name] = s.Widen()
+				sets[i] = s.Widen()
 			}
 		}
 	}

@@ -328,7 +328,7 @@ func TestIfWritesAreMayNotMust(t *testing.T) {
 	// Invalidate regions for epoch 1's read of A(j) must be empty (cold +
 	// aligned).
 	sum := res.Summaries[1]
-	if sum.MustWrite[0]["A"].Size() != 0 {
+	if sum.MustWrite[0][0].Size() != 0 { // A is array slot 0
 		t.Error("conditional write leaked into must-write")
 	}
 }
@@ -349,13 +349,13 @@ func TestInvalidateRegionsCoverStaleReads(t *testing.T) {
 	}
 	// Epoch 1: PE 0 (chunk j=0..15) reads A(16) written by PE 1 -> 16 must
 	// be in PE 0's invalidate region.
-	inv := res.Invalidate[1][0]["A"]
+	inv := res.Invalidate[1][0][0] // A is array slot 0
 	if inv.IsEmpty() || !inv.Contains([]int64{16}) {
 		t.Errorf("invalidate region for PE0 = %v, want to contain 16", inv)
 	}
 	// PE 3 (chunk j=48..62) reads A(49..63), all self-written (48..63):
 	// nothing to invalidate.
-	inv3 := res.Invalidate[1][3]["A"]
+	inv3 := res.Invalidate[1][3][0]
 	if !inv3.IsEmpty() {
 		t.Errorf("PE3 invalidate region should be empty, got %v", inv3)
 	}

@@ -21,55 +21,17 @@ import (
 	"repro/internal/section"
 )
 
-// ArraySections maps array name → region.
-type ArraySections map[string]section.Set
-
-func (as ArraySections) clone() ArraySections {
-	out := make(ArraySections, len(as))
-	for k, v := range as {
-		out[k] = v
+// emptySections returns one empty section per array, in prog.Arrays
+// order: the dense per-PE table every aggregate, dataflow state and
+// invalidation region is stored in. Slot a holds the section of
+// prog.Arrays[a]; an array the table says nothing about is an empty set of
+// the array's rank (never the rank-0 zero value, which UnionRect rejects).
+func emptySections(arrays []*ir.Array) []section.Set {
+	out := make([]section.Set, len(arrays))
+	for a, arr := range arrays {
+		out[a] = section.Empty(arr.Rank())
 	}
 	return out
-}
-
-func (as ArraySections) get(a *ir.Array) section.Set {
-	if s, ok := as[a.Name]; ok {
-		return s
-	}
-	return section.Empty(a.Rank())
-}
-
-func (as ArraySections) union(a *ir.Array, s section.Set) {
-	if s.IsEmpty() {
-		return
-	}
-	as[a.Name] = as.get(a).Union(s)
-}
-
-func (as ArraySections) equal(other ArraySections) bool {
-	if len(as) != len(other) {
-		// Fall through to point comparison: empty entries may differ.
-	}
-	seen := map[string]bool{}
-	for k, v := range as {
-		seen[k] = true
-		o, ok := other[k]
-		if !ok {
-			if !v.IsEmpty() {
-				return false
-			}
-			continue
-		}
-		if v.Approx() != o.Approx() || !v.EqualPoints(o) {
-			return false
-		}
-	}
-	for k, v := range other {
-		if !seen[k] && !v.IsEmpty() {
-			return false
-		}
-	}
-	return true
 }
 
 // RefAccess is one reference site inside an epoch with its per-PE section.
@@ -83,15 +45,17 @@ type RefAccess struct {
 	// must-section): dense rectangular coverage, not under an if, no
 	// context-variable dependence.
 	Exact bool
+	// slot is the referenced array's position in prog.Arrays.
+	slot int
 }
 
 // Summary is the per-PE access summary of one epoch node.
 type Summary struct {
 	Node *ir.EpochNode
 	Refs []*RefAccess
-	// Aggregates per PE.
-	MayRead, MayWrite   []ArraySections
-	MustRead, MustWrite []ArraySections
+	// Aggregates per PE, each indexed by array slot (emptySections).
+	MayRead, MayWrite   [][]section.Set
+	MustRead, MustWrite [][]section.Set
 }
 
 // summarizer walks epoch bodies building sections.
@@ -99,11 +63,17 @@ type summarizer struct {
 	prog  *ir.Program
 	numPE int
 	graph *ir.EpochGraph
+	// slot maps each array name to its position in prog.Arrays.
+	slot map[string]int
 }
 
 // Summarize computes the access summary of every epoch node for numPE PEs.
 func Summarize(g *ir.EpochGraph, numPE int) ([]*Summary, error) {
-	s := &summarizer{prog: g.Prog, numPE: numPE, graph: g}
+	s := &summarizer{prog: g.Prog, numPE: numPE, graph: g,
+		slot: make(map[string]int, len(g.Prog.Arrays))}
+	for a, arr := range g.Prog.Arrays {
+		s.slot[arr.Name] = a
+	}
 	out := make([]*Summary, len(g.Nodes))
 	for i, n := range g.Nodes {
 		sum, err := s.node(n)
@@ -149,15 +119,15 @@ func (e *walkEnv) clone() *walkEnv {
 
 func (s *summarizer) node(n *ir.EpochNode) (*Summary, error) {
 	sum := &Summary{Node: n}
-	sum.MayRead = make([]ArraySections, s.numPE)
-	sum.MayWrite = make([]ArraySections, s.numPE)
-	sum.MustRead = make([]ArraySections, s.numPE)
-	sum.MustWrite = make([]ArraySections, s.numPE)
+	sum.MayRead = make([][]section.Set, s.numPE)
+	sum.MayWrite = make([][]section.Set, s.numPE)
+	sum.MustRead = make([][]section.Set, s.numPE)
+	sum.MustWrite = make([][]section.Set, s.numPE)
 	for p := 0; p < s.numPE; p++ {
-		sum.MayRead[p] = ArraySections{}
-		sum.MayWrite[p] = ArraySections{}
-		sum.MustRead[p] = ArraySections{}
-		sum.MustWrite[p] = ArraySections{}
+		sum.MayRead[p] = emptySections(s.prog.Arrays)
+		sum.MayWrite[p] = emptySections(s.prog.Arrays)
+		sum.MustRead[p] = emptySections(s.prog.Arrays)
+		sum.MustWrite[p] = emptySections(s.prog.Arrays)
 	}
 
 	ctxLo, ctxHi, err := s.graph.ContextBounds(n)
@@ -173,7 +143,7 @@ func (s *summarizer) node(n *ir.EpochNode) (*Summary, error) {
 		}
 		ra := accesses[r.ID]
 		if ra == nil {
-			ra = &RefAccess{Ref: r, IsWrite: isWrite, Exact: true}
+			ra = &RefAccess{Ref: r, IsWrite: isWrite, Exact: true, slot: s.slot[r.Array.Name]}
 			ra.PerPE = make([]section.Set, s.numPE)
 			for p := range ra.PerPE {
 				ra.PerPE[p] = section.Empty(r.Array.Rank())
@@ -235,20 +205,18 @@ func (s *summarizer) node(n *ir.EpochNode) (*Summary, error) {
 			continue
 		}
 		sum.Refs = append(sum.Refs, ra)
+		may, must := sum.MayRead, sum.MustRead
+		if ra.IsWrite {
+			may, must = sum.MayWrite, sum.MustWrite
+		}
+		a := ra.slot
 		for p := 0; p < s.numPE; p++ {
 			if ra.PerPE[p].IsEmpty() {
 				continue
 			}
-			if ra.IsWrite {
-				sum.MayWrite[p].union(ra.Ref.Array, ra.PerPE[p])
-				if ra.Exact {
-					sum.MustWrite[p].union(ra.Ref.Array, ra.PerPE[p])
-				}
-			} else {
-				sum.MayRead[p].union(ra.Ref.Array, ra.PerPE[p])
-				if ra.Exact {
-					sum.MustRead[p].union(ra.Ref.Array, ra.PerPE[p])
-				}
+			may[p][a] = may[p][a].Union(ra.PerPE[p])
+			if ra.Exact {
+				must[p][a] = must[p][a].Union(ra.PerPE[p])
 			}
 		}
 	}

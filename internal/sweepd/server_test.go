@@ -3,6 +3,7 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -291,6 +292,40 @@ func TestBadSpecIs400(t *testing.T) {
 	_, _, err = client.Sweep([]JobSpec{{App: "MXM", Topology: "ring"}})
 	if err == nil || !strings.Contains(err.Error(), "topology") {
 		t.Errorf("client error %v does not name the bad topology", err)
+	}
+}
+
+// A request body over the cap is refused with 413 before any job is
+// resolved, and the same server then serves a normal request byte for byte
+// as a fresh server does.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, client := newTestServer(t, Options{})
+	_, fresh := newTestServer(t, Options{})
+	post := func(base, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	pad := strings.Repeat("x", maxRequestBytes)
+	if code, _ := post(client.Base, `{"jobs":[{"app":"MXM","scale":"small","pad":"`+pad+`"}]}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", code)
+	}
+	const body = `{"jobs":[{"app":"MXM","scale":"small","pes":[1,2]},{"app":"SWIM","scale":"small","pes":[2]}]}`
+	code, got := post(client.Base, body)
+	if code != http.StatusOK {
+		t.Fatalf("normal request after the refusal: status %d: %s", code, got)
+	}
+	_, want := post(fresh.Base, body)
+	if !bytes.Equal(got, want) {
+		t.Errorf("served bytes after a refused body differ from a fresh server's:\n%s\nvs\n%s", got, want)
 	}
 }
 
